@@ -6,12 +6,14 @@
 package risc1
 
 import (
+	"context"
 	"reflect"
 	"testing"
 
 	"risc1/internal/bench"
 	"risc1/internal/cc"
 	"risc1/internal/cpu"
+	"risc1/internal/machine"
 	"risc1/internal/vax"
 )
 
@@ -21,16 +23,17 @@ import (
 // call-depth histogram, data traffic — must be byte-identical with the
 // cache on and off.
 func TestICacheDeterminism(t *testing.T) {
+	risc1, _ := machine.Lookup("risc1")
 	for _, name := range []string{"hanoi", "ackermann", "sieve"} {
 		w, ok := bench.ByName(benchSuite, name)
 		if !ok {
 			t.Fatalf("no %s workload", name)
 		}
-		on, err := bench.RunRISC(w, bench.RiscConfig{Optimize: true, Opt: 1})
+		on, err := bench.RunOn(context.Background(), nil, risc1, w, machine.Options{DelaySlots: true, Opt: 1})
 		if err != nil {
 			t.Fatal(err)
 		}
-		off, err := bench.RunRISC(w, bench.RiscConfig{Optimize: true, Opt: 1, NoICache: true})
+		off, err := bench.RunOn(context.Background(), nil, risc1, w, machine.Options{DelaySlots: true, Opt: 1, NoICache: true})
 		if err != nil {
 			t.Fatal(err)
 		}

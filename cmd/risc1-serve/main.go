@@ -57,36 +57,16 @@ func main() {
 	drainTimeout := flag.Duration("drain-timeout", 15*time.Second, "how long SIGTERM waits for in-flight jobs before cancelling them")
 	sessionIdle := flag.Duration("session-idle", 2*time.Minute, "how long an untouched debug session survives before it is reaped")
 	clusterPath := flag.String("cluster", "", "path to a risc1.cluster-config/v1 JSON file; empty = standalone")
-	peers := flag.String("peers", "", "deprecated (use -cluster): comma-separated base URLs of every replica (this one included)")
-	self := flag.String("self", "", "deprecated (use -cluster): this replica's entry in -peers")
-	hotThreshold := flag.Uint64("hot-threshold", 0, "deprecated (use -cluster): per-key request count past which a peer-homed result is replicated locally")
-	peerCacheBytes := flag.Int64("peer-cache-bytes", 0, "deprecated (use -cluster): hot-key peer-response cache budget in bytes")
 	flag.Parse()
 
-	// Cluster membership comes from the typed config file (-cluster); the
-	// legacy -peers/-self string flags still work but are deprecated —
-	// they build the same config with the documented defaults.
+	// Cluster membership comes from the typed config file (-cluster).
 	var clusterCfg *cluster.Config
-	switch {
-	case *clusterPath != "" && *peers != "":
-		fmt.Fprintln(os.Stderr, "risc1-serve: -cluster and -peers are mutually exclusive")
-		os.Exit(2)
-	case *clusterPath != "":
+	if *clusterPath != "" {
 		cc, err := cluster.Load(*clusterPath)
 		if err != nil {
 			fmt.Fprintln(os.Stderr, "risc1-serve:", err)
 			os.Exit(2)
 		}
-		clusterCfg = &cc
-	case *peers != "":
-		fmt.Fprintln(os.Stderr, "risc1-serve: -peers/-self are deprecated; use -cluster with a risc1.cluster-config/v1 file")
-		cc, err := cluster.FromPeers(*peers, *self)
-		if err != nil {
-			fmt.Fprintln(os.Stderr, "risc1-serve:", err)
-			os.Exit(2)
-		}
-		cc.HotThreshold = *hotThreshold
-		cc.PeerCacheBytes = *peerCacheBytes
 		clusterCfg = &cc
 	}
 

@@ -12,6 +12,7 @@ import (
 
 	"risc1/internal/cluster"
 	"risc1/internal/exec"
+	"risc1/internal/fuel"
 	"risc1/internal/machine"
 	"risc1/internal/obs"
 	"risc1/internal/session"
@@ -523,7 +524,7 @@ func (s *Server) respFor(id string, spec exec.Spec, cr exec.CachedResult, infraE
 		resp.Report = &rep
 	case errors.As(cr.Err, new(*exec.CompileError)):
 		resp.Error = &apiError{Code: codeCompileError, Message: cr.Err.Error()}
-	case exec.IsFuelExhausted(cr.Err):
+	case errors.Is(cr.Err, fuel.ErrExhausted):
 		resp.Error = &apiError{Code: codeFuelExceeded, Message: cr.Err.Error()}
 	case errors.Is(cr.Err, context.DeadlineExceeded):
 		resp.Error = &apiError{Code: codeDeadline, Message: "simulation deadline exceeded"}

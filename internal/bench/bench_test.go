@@ -1,9 +1,23 @@
 package bench
 
 import (
+	"context"
 	"strings"
 	"testing"
+
+	"risc1/internal/asm"
+	"risc1/internal/machine"
 )
+
+// run is RunOn outside a pool, failing the test on error.
+func run(t *testing.T, b *machine.Backend, w Workload, o machine.Options) Run {
+	t.Helper()
+	r, err := RunOn(context.Background(), nil, b, w, o)
+	if err != nil {
+		t.Fatalf("%s options %+v: %v", b.Name, o, err)
+	}
+	return r
+}
 
 // TestSuiteCorrectness is the central integration test: every benchmark
 // must produce the Go reference result on all three simulators,
@@ -12,34 +26,22 @@ func TestSuiteCorrectness(t *testing.T) {
 	for _, w := range Suite(Small()) {
 		w := w
 		t.Run(w.Name, func(t *testing.T) {
-			for _, cfg := range []RiscConfig{
+			for _, o := range []machine.Options{
 				{},
 				{Opt: 1},
-				{Optimize: true, Opt: 1},
-				{Windows: 3, Optimize: true, Opt: 1},
+				{DelaySlots: true, Opt: 1},
+				{Windows: 3, DelaySlots: true, Opt: 1},
 				{NoWindows: true},
 			} {
-				run, err := RunRISC(w, cfg)
-				if err != nil {
-					t.Fatalf("risc cfg %+v: %v", cfg, err)
-				}
-				if run.Result != w.Expected {
-					t.Fatalf("risc cfg %+v: result %d, want %d", cfg, run.Result, w.Expected)
+				if r := run(t, riscBackend, w, o); r.Result != w.Expected {
+					t.Fatalf("risc options %+v: result %d, want %d", o, r.Result, w.Expected)
 				}
 			}
 			for _, lvl := range []int{0, 1} {
-				vx, err := RunVAX(w, VaxConfig{Opt: lvl})
-				if err != nil {
-					t.Fatal(err)
-				}
-				if vx.Result != w.Expected {
+				if vx := run(t, ciscBackend, w, machine.Options{Opt: lvl}); vx.Result != w.Expected {
 					t.Fatalf("vax -O%d result %d, want %d", lvl, vx.Result, w.Expected)
 				}
-				rv, err := RunRV32(w, Rv32Config{Opt: lvl})
-				if err != nil {
-					t.Fatal(err)
-				}
-				if rv.Result != w.Expected {
+				if rv := run(t, rv32Backend, w, machine.Options{Opt: lvl}); rv.Result != w.Expected {
 					t.Fatalf("rv32 -O%d result %d, want %d", lvl, rv.Result, w.Expected)
 				}
 			}
@@ -59,15 +61,16 @@ func TestShapesMatchPaper(t *testing.T) {
 	var sizeRatioSum, speedSum float64
 	for _, c := range cs {
 		sizeRatio := float64(c.Risc.TextBytes) / float64(c.Vax.TextBytes)
-		speed := c.Vax.Micros / c.Risc.Micros
+		risc, vax := c.Risc.Report.Totals, c.Vax.Report.Totals
+		speed := vax.Micros / risc.Micros
 		sizeRatioSum += sizeRatio
 		speedSum += speed
 		if sizeRatio < 0.8 {
 			t.Errorf("%s: RISC code unexpectedly smaller than CISC (%.2f)", c.Workload.Name, sizeRatio)
 		}
-		if c.Risc.Instructions <= c.Vax.Instructions/2 {
+		if risc.Instructions <= vax.Instructions/2 {
 			t.Errorf("%s: RISC should execute more instructions (%d vs %d)",
-				c.Workload.Name, c.Risc.Instructions, c.Vax.Instructions)
+				c.Workload.Name, risc.Instructions, vax.Instructions)
 		}
 	}
 	avgSize := sizeRatioSum / float64(len(cs))
@@ -139,23 +142,22 @@ func TestCallCostOrdering(t *testing.T) {
 func TestDelaySlotOptimizerHelps(t *testing.T) {
 	suite := Suite(Small())
 	w, _ := ByName(suite, "sieve")
-	plain, err := RunRISC(w, RiscConfig{Opt: 1})
+	o := machine.Options{DelaySlots: true, Opt: 1}
+	plain := run(t, riscBackend, w, machine.Options{Opt: 1}).Report
+	opt := run(t, riscBackend, w, o).Report
+	prog, _, _, err := riscBackend.Compile(w.Source, o)
 	if err != nil {
 		t.Fatal(err)
 	}
-	opt, err := RunRISC(w, RiscConfig{Optimize: true, Opt: 1})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if opt.Slots.Filled == 0 {
+	if machine.Unwrap(prog).(*asm.Program).Slots.Filled == 0 {
 		t.Error("optimizer filled no slots")
 	}
-	if opt.Instructions >= plain.Instructions {
-		t.Errorf("optimizer should cut dynamic instructions: %d vs %d", opt.Instructions, plain.Instructions)
+	if opt.Totals.Instructions >= plain.Totals.Instructions {
+		t.Errorf("optimizer should cut dynamic instructions: %d vs %d", opt.Totals.Instructions, plain.Totals.Instructions)
 	}
-	if opt.CPUStats.DelaySlotNops >= plain.CPUStats.DelaySlotNops {
+	if opt.Control.DelaySlotNops >= plain.Control.DelaySlotNops {
 		t.Errorf("optimizer should cut dynamic NOPs: %d vs %d",
-			opt.CPUStats.DelaySlotNops, plain.CPUStats.DelaySlotNops)
+			opt.Control.DelaySlotNops, plain.Control.DelaySlotNops)
 	}
 }
 
@@ -233,14 +235,8 @@ func TestPointerAndSubscriptPuzzleAgree(t *testing.T) {
 	if sub.Expected != ptr.Expected {
 		t.Fatalf("variants disagree before running: %d vs %d", sub.Expected, ptr.Expected)
 	}
-	a, err := RunRISC(sub, RiscConfig{Optimize: true, Opt: 1})
-	if err != nil {
-		t.Fatal(err)
-	}
-	b, err := RunRISC(ptr, RiscConfig{Optimize: true, Opt: 1})
-	if err != nil {
-		t.Fatal(err)
-	}
+	a := run(t, riscBackend, sub, machine.Options{DelaySlots: true, Opt: 1})
+	b := run(t, riscBackend, ptr, machine.Options{DelaySlots: true, Opt: 1})
 	if a.Result != b.Result {
 		t.Errorf("subscript %d != pointer %d", a.Result, b.Result)
 	}
@@ -258,15 +254,16 @@ func TestDepthHistogramFigure(t *testing.T) {
 		t.Errorf("figure:\n%s", out)
 	}
 	// fib(12) nests 11 deep; the cumulative shares must be monotone.
-	if c.Risc.MaxDepth < 10 {
-		t.Errorf("max depth = %d", c.Risc.MaxDepth)
+	win := c.Risc.Report.Windows
+	if win.MaxDepth < 10 {
+		t.Errorf("max depth = %d", win.MaxDepth)
 	}
 	var total uint64
-	for _, n := range c.Risc.Depths {
+	for _, n := range win.DepthHist {
 		total += n
 	}
-	if total != c.Risc.Windows.Calls {
-		t.Errorf("histogram total %d != calls %d", total, c.Risc.Windows.Calls)
+	if total != win.Calls {
+		t.Errorf("histogram total %d != calls %d", total, win.Calls)
 	}
 }
 
@@ -283,17 +280,14 @@ func TestPaperScaleAckermann(t *testing.T) {
 		Expected:  refAckermann(3, 6),
 		CallHeavy: true,
 	}
-	run, err := RunRISC(w, RiscConfig{Optimize: true, Opt: 1})
-	if err != nil {
-		t.Fatal(err)
+	r := run(t, riscBackend, w, machine.Options{DelaySlots: true, Opt: 1})
+	if r.Result != 509 {
+		t.Fatalf("ack(3,6) = %d, want 509", r.Result)
 	}
-	if run.Result != 509 {
-		t.Fatalf("ack(3,6) = %d, want 509", run.Result)
+	if win := r.Report.Windows; win.MaxDepth < 500 {
+		t.Errorf("max depth = %d; expected deep nesting", win.MaxDepth)
 	}
-	if run.MaxDepth < 500 {
-		t.Errorf("max depth = %d; expected deep nesting", run.MaxDepth)
-	}
-	if run.Windows.Overflows == 0 {
+	if r.Report.Windows.Overflows == 0 {
 		t.Error("deep recursion must overflow")
 	}
 }

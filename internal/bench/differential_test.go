@@ -4,62 +4,27 @@ import (
 	"testing"
 
 	"risc1/internal/cc"
+	"risc1/internal/machine"
 )
 
 // TestOptLevelsAgreeOnAllWorkloads is the optimizer's differential
 // acceptance test: for every benchmark workload, compiling at -O0 and
 // -O1 must produce identical guest-visible results on all three
-// simulators. (RunRISC/RunVAX/RunRV32 already compare each run against
-// the Go reference value, so this also re-checks correctness at both
-// levels.)
+// simulators. (RunOn already compares each run against the Go
+// reference value, so this also re-checks correctness at both levels.)
 func TestOptLevelsAgreeOnAllWorkloads(t *testing.T) {
 	for _, w := range Suite(Small()) {
 		w := w
 		t.Run(w.Name, func(t *testing.T) {
-			r0, err := RunRISC(w, RiscConfig{Optimize: true, Opt: 0})
-			if err != nil {
-				t.Fatalf("risc -O0: %v", err)
-			}
-			r1, err := RunRISC(w, RiscConfig{Optimize: true, Opt: 1})
-			if err != nil {
-				t.Fatalf("risc -O1: %v", err)
-			}
-			if r0.Result != r1.Result {
-				t.Errorf("risc: -O0 result %d != -O1 result %d", r0.Result, r1.Result)
-			}
-			if r1.Instructions > r0.Instructions {
-				t.Errorf("risc: -O1 executed more instructions than -O0 (%d vs %d)",
-					r1.Instructions, r0.Instructions)
-			}
-			v0, err := RunVAX(w, VaxConfig{Opt: 0})
-			if err != nil {
-				t.Fatalf("vax -O0: %v", err)
-			}
-			v1, err := RunVAX(w, VaxConfig{Opt: 1})
-			if err != nil {
-				t.Fatalf("vax -O1: %v", err)
-			}
-			if v0.Result != v1.Result {
-				t.Errorf("vax: -O0 result %d != -O1 result %d", v0.Result, v1.Result)
-			}
-			if v1.Instructions > v0.Instructions {
-				t.Errorf("vax: -O1 executed more instructions than -O0 (%d vs %d)",
-					v1.Instructions, v0.Instructions)
-			}
-			g0, err := RunRV32(w, Rv32Config{Opt: 0})
-			if err != nil {
-				t.Fatalf("rv32 -O0: %v", err)
-			}
-			g1, err := RunRV32(w, Rv32Config{Opt: 1})
-			if err != nil {
-				t.Fatalf("rv32 -O1: %v", err)
-			}
-			if g0.Result != g1.Result {
-				t.Errorf("rv32: -O0 result %d != -O1 result %d", g0.Result, g1.Result)
-			}
-			if g1.Instructions > g0.Instructions {
-				t.Errorf("rv32: -O1 executed more instructions than -O0 (%d vs %d)",
-					g1.Instructions, g0.Instructions)
+			for _, b := range []*machine.Backend{riscBackend, ciscBackend, rv32Backend} {
+				r0 := run(t, b, w, machine.Options{DelaySlots: true, Opt: 0})
+				r1 := run(t, b, w, machine.Options{DelaySlots: true, Opt: 1})
+				if r0.Result != r1.Result {
+					t.Errorf("%s: -O0 result %d != -O1 result %d", b.Name, r0.Result, r1.Result)
+				}
+				if i0, i1 := r0.Report.Totals.Instructions, r1.Report.Totals.Instructions; i1 > i0 {
+					t.Errorf("%s: -O1 executed more instructions than -O0 (%d vs %d)", b.Name, i1, i0)
+				}
 			}
 		})
 	}

@@ -4,24 +4,16 @@ import (
 	"context"
 	"fmt"
 
-	"risc1/internal/asm"
-	"risc1/internal/cpu"
 	"risc1/internal/exec"
 	"risc1/internal/machine"
-	"risc1/internal/mem"
 	"risc1/internal/obs"
-	"risc1/internal/regfile"
-	"risc1/internal/rv32"
-	"risc1/internal/trace"
-	"risc1/internal/vax"
 )
 
 // The harness runs every workload through the machine registry: one
-// generic compile+load+run core (runOn), with a thin typed wrapper per
-// machine that unwraps the adapter to mine concrete statistics the
-// paper's tables need (window spills, delay-slot fills, microcoded call
-// costs). Adding a machine means registering a backend and, if a table
-// wants its internals, one more wrapper — the core never changes.
+// generic compile+load+run function (RunOn) whose result carries the
+// machine's own run report, which is where the paper's tables read
+// their numbers. Adding a machine means registering a backend — the
+// harness never changes.
 
 // Registry entries the harness measures. Resolved once; a missing one
 // is a build error in the registry, not a runtime condition.
@@ -39,78 +31,19 @@ func backend(name string) *machine.Backend {
 	return b
 }
 
-// RiscRun is the outcome of one workload on the RISC I simulator.
-type RiscRun struct {
-	Result       int32
-	Instructions uint64
-	Cycles       uint64
-	Micros       float64
-	TextBytes    int
-	Windows      regfile.Stats
-	CPUStats     cpu.Stats
-	Slots        asm.SlotStats
-	Mix          []trace.Share
-	Ops          []trace.Share // per-opcode dynamic counts
-	MaxDepth     int
-	Depths       []uint64 // calls beginning at each nesting depth
-	DataTraffic  mem.Stats
-	// Report is the machine-readable form of this run. Its ICache
-	// section is cleared: icache activity is host machinery that differs
-	// with RiscConfig.NoICache while every simulated number here is
-	// identical (TestICacheDeterminism compares whole RiscRun values).
+// Run is the outcome of one workload on one machine.
+type Run struct {
+	Result    int32
+	TextBytes int // static code size
+	// Report is the machine-readable form of this run, stamped with the
+	// compile options. Host-machinery sections are scrubbed: the RISC
+	// icache counters differ with Options.NoICache while every simulated
+	// number is identical (TestICacheDeterminism compares whole Runs).
 	Report obs.Report
-}
-
-// VaxRun is the outcome of one workload on the CISC baseline.
-type VaxRun struct {
-	Result       int32
-	Instructions uint64
-	Cycles       uint64
-	Micros       float64
-	TextBytes    int
-	Stats        vax.Stats
-	Mix          []trace.Share
-	DataTraffic  mem.Stats
-	// Report is the machine-readable form of this run.
-	Report obs.Report
-}
-
-// Rv32Run is the outcome of one workload on the RV32I-subset machine —
-// the delay-slot-free, window-free RISC point between the other two.
-type Rv32Run struct {
-	Result       int32
-	Instructions uint64
-	Cycles       uint64
-	Micros       float64
-	TextBytes    int
-	Stats        rv32.Stats
-	Mix          []trace.Share
-	DataTraffic  mem.Stats
-	// Report is the machine-readable form of this run.
-	Report obs.Report
-}
-
-// RiscConfig tweaks a RISC run.
-type RiscConfig struct {
-	Windows   int  // 0 = the paper's 8
-	NoWindows bool // ablation: spill/refill on every call
-	Optimize  bool // fill delay slots
-	Opt       int  // compiler optimization level (-O0 / -O1)
-	NoICache  bool // disable the simulator's predecoded instruction cache
-}
-
-// VaxConfig tweaks a CISC baseline run.
-type VaxConfig struct {
-	Opt int // compiler optimization level (-O0 / -O1)
-}
-
-// Rv32Config tweaks an RV32 run.
-type Rv32Config struct {
-	Opt int // compiler optimization level (-O0 / -O1)
 }
 
 // OptLevel is the compiler optimization level the harness's composite
-// measurements (Compare, SweepWindows, MeasureCallCost) run at.
+// measurements (CompareAll, SweepWindows, MeasureCallCost) run at.
 // risc1-bench's -opt flag overrides it.
 var OptLevel = 1
 
@@ -120,33 +53,30 @@ var OptLevel = 1
 // speed changes.
 var NoICache bool
 
-// options maps a RISC bench configuration to registry options — the
-// cache key batch workers reuse machines under.
-func (cfg RiscConfig) options() machine.Options {
-	return machine.Options{
-		Opt:        cfg.Opt,
-		DelaySlots: cfg.Optimize,
-		Windows:    cfg.Windows,
-		NoWindows:  cfg.NoWindows,
-		NoICache:   cfg.NoICache || NoICache,
-	}
+// Parallel is the worker count the harness's composite measurements
+// (CompareAll, SweepWindows, RunAblation) run with — risc1-bench's
+// -parallel flag. Values below 1 mean one worker. Whatever the count,
+// every result is assembled in submission order, so tables and reports
+// are byte-identical across settings (TestParallelDeterminism pins it).
+var Parallel = 1
+
+// newPool builds the engine behind one composite measurement.
+func newPool() *exec.Pool {
+	return exec.NewPool(exec.Config{Workers: max(Parallel, 1)})
 }
 
-func (cfg VaxConfig) options() machine.Options { return machine.Options{Opt: cfg.Opt} }
-
-func (cfg Rv32Config) options() machine.Options { return machine.Options{Opt: cfg.Opt} }
-
-// runOn is the generic core every harness measurement goes through:
-// compile w for backend b (via the pool's shared program cache when
-// sims is non-nil, so a sweep resubmitting one workload under many
-// machine configurations compiles it once), load it into the worker's
-// cached simulator (or a fresh one outside a pool), run to completion,
-// and verify the result word against the workload's Go reference value.
-func runOn(ctx context.Context, sims *exec.Sims, b *machine.Backend, w Workload, o machine.Options) (machine.Machine, machine.Program, []obs.PassStat, int32, error) {
+// RunOn compiles w for backend b (via the pool's shared program cache
+// when sims is non-nil, so a sweep resubmitting one workload under many
+// machine configurations compiles it once), loads it into the worker's
+// cached simulator (or a fresh one outside a pool), runs it to
+// completion under ctx, and verifies the result word against the
+// workload's Go reference value.
+func RunOn(ctx context.Context, sims *exec.Sims, b *machine.Backend, w Workload, o machine.Options) (Run, error) {
+	o.NoICache = o.NoICache || NoICache
 	o = b.Normalize(o)
 	prog, text, passes, err := sims.Compile(ctx, b, w.Source, o)
 	if err != nil {
-		return nil, nil, nil, 0, fmt.Errorf("bench %s: %w", w.Name, err)
+		return Run{}, fmt.Errorf("bench %s: %w", w.Name, err)
 	}
 	var m machine.Machine
 	if sims != nil {
@@ -156,159 +86,99 @@ func runOn(ctx context.Context, sims *exec.Sims, b *machine.Backend, w Workload,
 	}
 	m.Reset(prog.Entry())
 	if err := prog.LoadInto(m.Mem()); err != nil {
-		return nil, nil, nil, 0, err
+		return Run{}, err
 	}
 	if err := m.RunContext(ctx); err != nil {
-		return nil, nil, nil, 0, fmt.Errorf("bench %s (%s): %w\n%s", w.Name, b.Name, err, text)
+		return Run{}, fmt.Errorf("bench %s (%s): %w\n%s", w.Name, b.Name, err, text)
 	}
 	addr, ok := prog.Symbol("result")
 	if !ok {
-		return nil, nil, nil, 0, fmt.Errorf("bench %s: no global named result", w.Name)
+		return Run{}, fmt.Errorf("bench %s: no global named result", w.Name)
 	}
 	v, err := m.Mem().LoadWord(addr)
 	if err != nil {
-		return nil, nil, nil, 0, err
+		return Run{}, err
 	}
 	if int32(v) != w.Expected {
-		return nil, nil, nil, 0, fmt.Errorf("bench %s (%s): result %d, want %d", w.Name, b.Name, int32(v), w.Expected)
+		return Run{}, fmt.Errorf("bench %s (%s): result %d, want %d", w.Name, b.Name, int32(v), w.Expected)
 	}
-	return m, prog, passes, int32(v), nil
+	rep := m.BuildReport(w.Name)
+	b.ScrubReport(&rep)
+	rep.Config.Optimized = o.DelaySlots
+	rep.Config.OptLevel = o.Opt
+	rep.Config.Passes = passes
+	return Run{Result: int32(v), TextBytes: prog.TextBytes(), Report: rep}, nil
 }
 
-// RunRISC compiles and executes a workload on the RISC I simulator.
-func RunRISC(w Workload, cfg RiscConfig) (RiscRun, error) {
-	return RunRISCOn(context.Background(), nil, w, cfg)
+// job wraps one RunOn as a pool job.
+func job(b *machine.Backend, w Workload, o machine.Options) exec.Job {
+	return exec.Job{Key: w.Name + "/" + b.Name, Fn: func(ctx context.Context, sims *exec.Sims) (any, error) {
+		return RunOn(ctx, sims, b, w, o)
+	}}
 }
 
-// RunRISCOn is RunRISC on a batch worker: sims (when non-nil) supplies
-// the per-worker simulator to reuse, and ctx bounds the run. This is
-// the function CompareAllOn submits to the pool.
-func RunRISCOn(ctx context.Context, sims *exec.Sims, w Workload, cfg RiscConfig) (RiscRun, error) {
-	m, prog, passes, v, err := runOn(ctx, sims, riscBackend, w, cfg.options())
-	if err != nil {
-		return RiscRun{}, err
+// runBatch runs jobs on a pool sized by Parallel, returning their Runs
+// in submission order (whatever the worker count) or the first error.
+// The pool's per-worker simulators are reused across jobs; the
+// cross-job leakage tests in internal/exec pin that reuse never changes
+// a result.
+func runBatch(jobs []exec.Job) ([]Run, error) {
+	p := newPool()
+	defer p.Close()
+	results := p.RunBatch(context.Background(), jobs)
+	runs := make([]Run, len(results))
+	for i, res := range results {
+		if res.Err != nil {
+			return nil, res.Err
+		}
+		runs[i] = res.Value.(Run)
 	}
-	c := machine.Unwrap(m).(*cpu.CPU)
-	ap := machine.Unwrap(prog).(*asm.Program)
-	run := RiscRun{
-		Result:       v,
-		Instructions: c.Trace.Instructions,
-		Cycles:       c.Trace.Cycles,
-		Micros:       c.Micros(),
-		TextBytes:    ap.TextSize,
-		Windows:      c.Regs.Stats,
-		CPUStats:     c.Stats,
-		Slots:        ap.Slots,
-		Mix:          c.Trace.Mix(),
-		Ops:          c.Trace.OpCounts(),
-		MaxDepth:     c.Regs.MaxDepth(),
-		Depths:       c.Trace.DepthHistogram(),
-		DataTraffic:  c.Mem.Stats,
-		Report:       m.BuildReport(w.Name),
-	}
-	run.Report.ICache = nil // host machinery; see the field comment
-	run.Report.Config.Optimized = cfg.Optimize
-	run.Report.Config.OptLevel = cfg.Opt
-	run.Report.Config.Passes = passes
-	return run, nil
-}
-
-// RunVAX compiles and executes a workload on the CISC baseline.
-func RunVAX(w Workload, cfg VaxConfig) (VaxRun, error) {
-	return RunVAXOn(context.Background(), nil, w, cfg)
-}
-
-// RunVAXOn is RunVAX on a batch worker, mirroring RunRISCOn.
-func RunVAXOn(ctx context.Context, sims *exec.Sims, w Workload, cfg VaxConfig) (VaxRun, error) {
-	m, prog, passes, v, err := runOn(ctx, sims, ciscBackend, w, cfg.options())
-	if err != nil {
-		return VaxRun{}, err
-	}
-	c := machine.Unwrap(m).(*vax.CPU)
-	vp := machine.Unwrap(prog).(*vax.Program)
-	run := VaxRun{
-		Result:       v,
-		Instructions: c.Trace.Instructions,
-		Cycles:       c.Trace.Cycles,
-		Micros:       c.Micros(),
-		TextBytes:    vp.TextSize,
-		Stats:        c.Stats,
-		Mix:          c.Trace.Mix(),
-		DataTraffic:  c.Mem.Stats,
-		Report:       m.BuildReport(w.Name),
-	}
-	run.Report.Config.OptLevel = cfg.Opt
-	run.Report.Config.Passes = passes
-	return run, nil
-}
-
-// RunRV32 compiles and executes a workload on the RV32I-subset machine.
-func RunRV32(w Workload, cfg Rv32Config) (Rv32Run, error) {
-	return RunRV32On(context.Background(), nil, w, cfg)
-}
-
-// RunRV32On is RunRV32 on a batch worker, mirroring RunRISCOn.
-func RunRV32On(ctx context.Context, sims *exec.Sims, w Workload, cfg Rv32Config) (Rv32Run, error) {
-	m, prog, passes, v, err := runOn(ctx, sims, rv32Backend, w, cfg.options())
-	if err != nil {
-		return Rv32Run{}, err
-	}
-	c := machine.Unwrap(m).(*rv32.CPU)
-	rp := machine.Unwrap(prog).(*rv32.Program)
-	run := Rv32Run{
-		Result:       v,
-		Instructions: c.Trace.Instructions,
-		Cycles:       c.Trace.Cycles,
-		Micros:       c.Micros(),
-		TextBytes:    rp.TextSize,
-		Stats:        c.Stats,
-		Mix:          c.Trace.Mix(),
-		DataTraffic:  c.Mem.Stats,
-		Report:       m.BuildReport(w.Name),
-	}
-	run.Report.Config.OptLevel = cfg.Opt
-	run.Report.Config.Passes = passes
-	return run, nil
+	return runs, nil
 }
 
 // Comparison is one workload measured on every machine variant the
 // paper's tables need.
 type Comparison struct {
 	Workload Workload
-	Risc     RiscRun // 8 windows, delay slots optimized
-	RiscNop  RiscRun // 8 windows, unoptimized (NOPs in every slot)
-	Vax      VaxRun
-	Rv32     Rv32Run // windowless, delay-slot-free RISC
+	Risc     Run // 8 windows, delay slots optimized
+	RiscNop  Run // 8 windows, unoptimized (NOPs in every slot)
+	Vax      Run
+	Rv32     Run // windowless, delay-slot-free RISC
 }
 
 // Compare runs one workload everywhere.
 func Compare(w Workload) (Comparison, error) {
-	risc, err := RunRISC(w, RiscConfig{Optimize: true, Opt: OptLevel})
+	cs, err := CompareAll([]Workload{w})
 	if err != nil {
 		return Comparison{}, err
 	}
-	riscNop, err := RunRISC(w, RiscConfig{Optimize: false, Opt: OptLevel})
-	if err != nil {
-		return Comparison{}, err
-	}
-	vx, err := RunVAX(w, VaxConfig{Opt: OptLevel})
-	if err != nil {
-		return Comparison{}, err
-	}
-	rv, err := RunRV32(w, Rv32Config{Opt: OptLevel})
-	if err != nil {
-		return Comparison{}, err
-	}
-	return Comparison{Workload: w, Risc: risc, RiscNop: riscNop, Vax: vx, Rv32: rv}, nil
+	return cs[0], nil
 }
 
 // CompareAll runs the whole suite through a batch pool sized by the
-// package's Parallel setting. Output order (and therefore any report
-// built from it) is the suite order regardless of worker count.
+// package's Parallel setting: four jobs per workload (optimized RISC,
+// unoptimized RISC, baseline, RV32). Output order (and therefore any
+// report built from it) is the suite order regardless of worker count.
 func CompareAll(suite []Workload) ([]Comparison, error) {
-	p := newPool()
-	defer p.Close()
-	return CompareAllOn(context.Background(), p, suite)
+	jobs := make([]exec.Job, 0, 4*len(suite))
+	for _, w := range suite {
+		jobs = append(jobs,
+			job(riscBackend, w, machine.Options{DelaySlots: true, Opt: OptLevel}),
+			job(riscBackend, w, machine.Options{Opt: OptLevel}),
+			job(ciscBackend, w, machine.Options{Opt: OptLevel}),
+			job(rv32Backend, w, machine.Options{Opt: OptLevel}),
+		)
+	}
+	runs, err := runBatch(jobs)
+	if err != nil {
+		return nil, err
+	}
+	out := make([]Comparison, len(suite))
+	for i, w := range suite {
+		r := runs[4*i:]
+		out[i] = Comparison{Workload: w, Risc: r[0], RiscNop: r[1], Vax: r[2], Rv32: r[3]}
+	}
+	return out, nil
 }
 
 // Reports flattens a comparison set into the run list of an
@@ -339,17 +209,10 @@ type WindowSweep struct {
 }
 
 // SweepWindows runs the call-heavy subset across window counts, one
-// pool job per (window count, workload) pair.
-func SweepWindows(suite []Workload, windowCounts []int) (WindowSweep, error) {
-	p := newPool()
-	defer p.Close()
-	return SweepWindowsOn(context.Background(), p, suite, windowCounts)
-}
-
-// SweepWindowsOn is SweepWindows on an existing pool. Rows are indexed
-// by window count and column by workload, assembled from the batch in
+// pool job per (window count, workload) pair. Rows are indexed by
+// window count and column by workload, assembled from the batch in
 // submission order, so the sweep is deterministic at any parallelism.
-func SweepWindowsOn(ctx context.Context, p *exec.Pool, suite []Workload, windowCounts []int) (WindowSweep, error) {
+func SweepWindows(suite []Workload, windowCounts []int) (WindowSweep, error) {
 	var sweep WindowSweep
 	sweep.Windows = windowCounts
 	var heavy []Workload
@@ -363,24 +226,23 @@ func SweepWindowsOn(ctx context.Context, p *exec.Pool, suite []Workload, windowC
 	jobs := make([]exec.Job, 0, len(windowCounts)*len(heavy))
 	for _, wins := range windowCounts {
 		for _, w := range heavy {
-			jobs = append(jobs, riscJob(w, RiscConfig{Windows: wins, Optimize: true, Opt: OptLevel}))
+			jobs = append(jobs, job(riscBackend, w, machine.Options{Windows: wins, DelaySlots: true, Opt: OptLevel}))
 		}
 	}
-	results := p.RunBatch(ctx, jobs)
+	runs, err := runBatch(jobs)
+	if err != nil {
+		return sweep, err
+	}
 	for i := range windowCounts {
 		row := make([]float64, len(heavy))
 		us := make([]float64, len(heavy))
 		for j := range heavy {
-			res := results[i*len(heavy)+j]
-			if res.Err != nil {
-				return sweep, res.Err
+			rep := runs[i*len(heavy)+j].Report
+			if rep.Windows.Calls > 0 {
+				row[j] = float64(rep.Windows.Overflows) / float64(rep.Windows.Calls)
 			}
-			run := res.Value.(RiscRun)
-			if run.Windows.Calls > 0 {
-				row[j] = float64(run.Windows.Overflows) / float64(run.Windows.Calls)
-			}
-			us[j] = run.Micros
-			sweep.Calls[j] = run.Windows.Calls
+			us[j] = rep.Totals.Micros
+			sweep.Calls[j] = rep.Windows.Calls
 		}
 		sweep.Rate = append(sweep.Rate, row)
 		sweep.Micros = append(sweep.Micros, us)
@@ -432,12 +294,12 @@ func callBenchExpected() int32 {
 // returns the totals the subtraction needs: simulated cycles and
 // data-memory bytes moved.
 func callMeasure(b *machine.Backend, w Workload, o machine.Options) (cycles, memBytes uint64, err error) {
-	m, _, _, _, err := runOn(context.Background(), nil, b, w, o)
+	run, err := RunOn(context.Background(), nil, b, w, o)
 	if err != nil {
 		return 0, 0, err
 	}
-	st := m.Mem().Stats
-	return m.Cycles(), st.BytesRead + st.BytesWritten, nil
+	rep := run.Report
+	return rep.Totals.Cycles, rep.Memory.BytesRead + rep.Memory.BytesWritten, nil
 }
 
 // MeasureCallCost returns per-call costs for RISC I with windows, RISC I
@@ -452,10 +314,10 @@ func MeasureCallCost() ([]CallCost, error) {
 		b     *machine.Backend
 		o     machine.Options
 	}{
-		{"RISC I (8 windows)", riscBackend, RiscConfig{Optimize: true, Opt: OptLevel}.options()},
-		{"RISC I (no windows)", riscBackend, RiscConfig{NoWindows: true, Optimize: true, Opt: OptLevel}.options()},
-		{"CISC (CALLS/RET)", ciscBackend, VaxConfig{Opt: OptLevel}.options()},
-		{"RV32 (jal/jalr)", rv32Backend, Rv32Config{Opt: OptLevel}.options()},
+		{"RISC I (8 windows)", riscBackend, machine.Options{DelaySlots: true, Opt: OptLevel}},
+		{"RISC I (no windows)", riscBackend, machine.Options{NoWindows: true, DelaySlots: true, Opt: OptLevel}},
+		{"CISC (CALLS/RET)", ciscBackend, machine.Options{Opt: OptLevel}},
+		{"RV32 (jal/jalr)", rv32Backend, machine.Options{Opt: OptLevel}},
 	}
 	out := make([]CallCost, 0, len(variants))
 	for _, vt := range variants {

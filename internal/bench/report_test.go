@@ -8,6 +8,7 @@ import (
 	"path/filepath"
 	"testing"
 
+	"risc1/internal/machine"
 	"risc1/internal/obs"
 )
 
@@ -31,11 +32,8 @@ func goldenWorkload(t *testing.T) Workload {
 // schema changed: bump obs.ReportVersion, update DESIGN.md section 8,
 // and regenerate with go test ./internal/bench -run TestReportGolden -update.
 func TestReportGolden(t *testing.T) {
-	run, err := RunRISC(goldenWorkload(t), RiscConfig{Optimize: true, Opt: 1})
-	if err != nil {
-		t.Fatal(err)
-	}
-	got, err := run.Report.JSON()
+	r := run(t, riscBackend, goldenWorkload(t), machine.Options{DelaySlots: true, Opt: 1})
+	got, err := r.Report.JSON()
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -62,14 +60,8 @@ func TestReportGolden(t *testing.T) {
 // emit byte-identical reports.
 func TestReportDeterminism(t *testing.T) {
 	w := goldenWorkload(t)
-	a, err := RunRISC(w, RiscConfig{Optimize: true, Opt: 1})
-	if err != nil {
-		t.Fatal(err)
-	}
-	b, err := RunRISC(w, RiscConfig{Optimize: true, Opt: 1})
-	if err != nil {
-		t.Fatal(err)
-	}
+	a := run(t, riscBackend, w, machine.Options{DelaySlots: true, Opt: 1})
+	b := run(t, riscBackend, w, machine.Options{DelaySlots: true, Opt: 1})
 	ja, err := a.Report.JSON()
 	if err != nil {
 		t.Fatal(err)
@@ -83,24 +75,16 @@ func TestReportDeterminism(t *testing.T) {
 	}
 }
 
-// TestReportMatchesCollector asserts the report's totals are the
-// collector's, not a parallel count that could drift.
+// TestReportMatchesCollector asserts the report's sections agree with
+// each other: the tables read every number from the report.
 func TestReportMatchesCollector(t *testing.T) {
-	run, err := RunRISC(goldenWorkload(t), RiscConfig{Optimize: true, Opt: 1})
-	if err != nil {
-		t.Fatal(err)
-	}
-	r := run.Report
-	if r.Totals.Cycles != run.Cycles || r.Totals.Instructions != run.Instructions {
-		t.Errorf("report totals %d cycles / %d instructions, collector %d / %d",
-			r.Totals.Cycles, r.Totals.Instructions, run.Cycles, run.Instructions)
-	}
+	r := run(t, riscBackend, goldenWorkload(t), machine.Options{DelaySlots: true, Opt: 1}).Report
 	if r.Totals.BaseCycles+r.Totals.TrapCycles != r.Totals.Cycles {
 		t.Errorf("base (%d) + trap (%d) != total (%d)",
 			r.Totals.BaseCycles, r.Totals.TrapCycles, r.Totals.Cycles)
 	}
-	if r.Memory.Reads != run.DataTraffic.Reads || r.Memory.BytesWritten != run.DataTraffic.BytesWritten {
-		t.Errorf("report memory section %+v disagrees with DataTraffic %+v", r.Memory, run.DataTraffic)
+	if r.Memory.Accesses != r.Memory.Reads+r.Memory.Writes {
+		t.Errorf("report memory section %+v: accesses != reads + writes", r.Memory)
 	}
 	var winSum uint64
 	for _, m := range r.Mix {
@@ -113,17 +97,16 @@ func TestReportMatchesCollector(t *testing.T) {
 
 // TestVaxReportMatchesCollector does the same for the baseline.
 func TestVaxReportMatchesCollector(t *testing.T) {
-	run, err := RunVAX(goldenWorkload(t), VaxConfig{Opt: 1})
-	if err != nil {
-		t.Fatal(err)
-	}
-	r := run.Report
+	r := run(t, ciscBackend, goldenWorkload(t), machine.Options{Opt: 1}).Report
 	if r.Machine != "cisc" {
 		t.Errorf("machine = %q", r.Machine)
 	}
-	if r.Totals.Cycles != run.Cycles || r.Totals.Instructions != run.Instructions {
-		t.Errorf("report totals %d/%d, collector %d/%d",
-			r.Totals.Cycles, r.Totals.Instructions, run.Cycles, run.Instructions)
+	var mixSum uint64
+	for _, m := range r.Mix {
+		mixSum += m.Count
+	}
+	if mixSum != r.Totals.Instructions || r.Totals.BaseCycles != r.Totals.Cycles {
+		t.Errorf("report totals %+v disagree with mix sum %d", r.Totals, mixSum)
 	}
 	if r.Cisc == nil || r.Cisc.Calls == 0 {
 		t.Errorf("cisc section missing or empty: %+v", r.Cisc)

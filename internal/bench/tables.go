@@ -1,15 +1,16 @@
 package bench
 
 import (
-	"context"
 	"fmt"
 	"sort"
 	"strings"
 	"text/tabwriter"
 
+	"risc1/internal/asm"
 	"risc1/internal/cpu"
 	"risc1/internal/exec"
 	"risc1/internal/isa"
+	"risc1/internal/machine"
 	"risc1/internal/regfile"
 	"risc1/internal/rv32"
 	"risc1/internal/vax"
@@ -113,13 +114,14 @@ func TableExecTime(cs []Comparison) string {
 		fmt.Fprintln(w, "benchmark\tRISC instr\tCISC instr\tRV32 instr\tRISC µs\tCISC µs\tRV32 µs\tCISC/RISC time\tCISC/RV32 time")
 		var sumSpeed, sumRv32 float64
 		for _, c := range cs {
-			speed := c.Vax.Micros / c.Risc.Micros
-			rvSpeed := c.Vax.Micros / c.Rv32.Micros
+			risc, vax, rv := c.Risc.Report.Totals, c.Vax.Report.Totals, c.Rv32.Report.Totals
+			speed := vax.Micros / risc.Micros
+			rvSpeed := vax.Micros / rv.Micros
 			sumSpeed += speed
 			sumRv32 += rvSpeed
 			fmt.Fprintf(w, "%s\t%d\t%d\t%d\t%.0f\t%.0f\t%.0f\t%.2f\t%.2f\n",
-				c.Workload.Name, c.Risc.Instructions, c.Vax.Instructions, c.Rv32.Instructions,
-				c.Risc.Micros, c.Vax.Micros, c.Rv32.Micros, speed, rvSpeed)
+				c.Workload.Name, risc.Instructions, vax.Instructions, rv.Instructions,
+				risc.Micros, vax.Micros, rv.Micros, speed, rvSpeed)
 		}
 		fmt.Fprintf(w, "average speedup\t\t\t\t\t\t\t%.2f\t%.2f\n",
 			sumSpeed/float64(len(cs)), sumRv32/float64(len(cs)))
@@ -133,15 +135,15 @@ func TableMix(cs []Comparison) string {
 	rv32Totals := map[string]uint64{}
 	var riscN, vaxN, rv32N uint64
 	for _, c := range cs {
-		for _, s := range c.Risc.Mix {
+		for _, s := range c.Risc.Report.Mix {
 			riscTotals[s.Name] += s.Count
 			riscN += s.Count
 		}
-		for _, s := range c.Vax.Mix {
+		for _, s := range c.Vax.Report.Mix {
 			vaxTotals[s.Name] += s.Count
 			vaxN += s.Count
 		}
-		for _, s := range c.Rv32.Mix {
+		for _, s := range c.Rv32.Report.Mix {
 			rv32Totals[s.Name] += s.Count
 			rv32N += s.Count
 		}
@@ -219,11 +221,20 @@ func FigDelaySlots(cs []Comparison) string {
 		fmt.Fprintln(w, "F2. Delayed-jump optimization")
 		fmt.Fprintln(w, "benchmark\ttransfers\tslots filled\tfill rate\tdyn. NOPs before\tdyn. NOPs after\tinstr saved")
 		for _, c := range cs {
-			saved := int64(c.RiscNop.Instructions) - int64(c.Risc.Instructions)
+			// The static slot counts are the assembler's: recompile
+			// with the optimized run's options to read them.
+			cfg := c.Risc.Report.Config
+			prog, _, _, err := riscBackend.Compile(c.Workload.Source, machine.Options{Opt: cfg.OptLevel, DelaySlots: cfg.Optimized})
+			if err != nil {
+				fmt.Fprintf(w, "%s\t%v\n", c.Workload.Name, err)
+				continue
+			}
+			slots := machine.Unwrap(prog).(*asm.Program).Slots
+			saved := int64(c.RiscNop.Report.Totals.Instructions) - int64(c.Risc.Report.Totals.Instructions)
 			fmt.Fprintf(w, "%s\t%d\t%d\t%.0f%%\t%d\t%d\t%d\n",
 				c.Workload.Name,
-				c.Risc.Slots.Transfers, c.Risc.Slots.Filled, 100*c.Risc.Slots.FillRate(),
-				c.RiscNop.CPUStats.DelaySlotNops, c.Risc.CPUStats.DelaySlotNops, saved)
+				slots.Transfers, slots.Filled, 100*slots.FillRate(),
+				c.RiscNop.Report.Control.DelaySlotNops, c.Risc.Report.Control.DelaySlotNops, saved)
 		}
 	})
 }
@@ -251,15 +262,15 @@ func TableTraffic(cs []Comparison) string {
 			if !c.Workload.CallHeavy {
 				continue
 			}
-			riscWords := c.Risc.CPUStats.SpillWords + c.Risc.CPUStats.RefillWords
-			calls := c.Risc.Windows.Calls
-			if calls == 0 {
+			win, cisc := c.Risc.Report.Windows, c.Vax.Report.Cisc
+			riscWords := win.SpillWords + win.RefillWords
+			if win.Calls == 0 {
 				continue
 			}
 			fmt.Fprintf(w, "%s\t%d\t%d\t%d\t%.2f\t%.2f\n",
-				c.Workload.Name, calls, riscWords, c.Vax.Stats.CallMemWords,
-				float64(riscWords)/float64(calls),
-				float64(c.Vax.Stats.CallMemWords)/float64(c.Vax.Stats.Calls))
+				c.Workload.Name, win.Calls, riscWords, cisc.CallMemWords,
+				float64(riscWords)/float64(win.Calls),
+				float64(cisc.CallMemWords)/float64(cisc.Calls))
 		}
 	})
 }
@@ -272,7 +283,7 @@ func TableOpFrequency(cs []Comparison) string {
 	totals := map[string]uint64{}
 	var n uint64
 	for _, c := range cs {
-		for _, op := range c.Risc.Ops {
+		for _, op := range c.Risc.Report.Ops {
 			totals[op.Name] += op.Count
 			n += op.Count
 		}
@@ -319,8 +330,9 @@ func FigDepthHistogram(cs []Comparison) string {
 			if !c.Workload.CallHeavy {
 				continue
 			}
+			win := c.Risc.Report.Windows
 			var total uint64
-			for _, n := range c.Risc.Depths {
+			for _, n := range win.DepthHist {
 				total += n
 			}
 			if total == 0 {
@@ -328,7 +340,7 @@ func FigDepthHistogram(cs []Comparison) string {
 			}
 			cum := func(limit int) float64 {
 				var s uint64
-				for d, n := range c.Risc.Depths {
+				for d, n := range win.DepthHist {
 					if d <= limit {
 						s += n
 					}
@@ -336,7 +348,7 @@ func FigDepthHistogram(cs []Comparison) string {
 				return 100 * float64(s) / float64(total)
 			}
 			fmt.Fprintf(w, "%s\t%d\t%.1f%%\t%.1f%%\t%.1f%%\n",
-				c.Workload.Name, c.Risc.MaxDepth, cum(4), cum(8), cum(16))
+				c.Workload.Name, win.MaxDepth, cum(4), cum(8), cum(16))
 		}
 	})
 }
@@ -354,10 +366,10 @@ type AblationRow struct {
 // four configurations per workload are independent, so they go through
 // the pool like the main comparison.
 func RunAblation(suite []Workload) ([]AblationRow, error) {
-	configs := []RiscConfig{
-		{Optimize: true, Opt: OptLevel},
+	configs := []machine.Options{
+		{DelaySlots: true, Opt: OptLevel},
 		{Opt: OptLevel},
-		{NoWindows: true, Optimize: true, Opt: OptLevel},
+		{NoWindows: true, DelaySlots: true, Opt: OptLevel},
 		{NoWindows: true, Opt: OptLevel},
 	}
 	var heavy []Workload
@@ -367,26 +379,20 @@ func RunAblation(suite []Workload) ([]AblationRow, error) {
 			continue
 		}
 		heavy = append(heavy, w)
-		for _, cfg := range configs {
-			jobs = append(jobs, riscJob(w, cfg))
+		for _, o := range configs {
+			jobs = append(jobs, job(riscBackend, w, o))
 		}
 	}
-	p := newPool()
-	defer p.Close()
-	results := p.RunBatch(context.Background(), jobs)
+	runs, err := runBatch(jobs)
+	if err != nil {
+		return nil, err
+	}
 	var rows []AblationRow
 	for i, w := range heavy {
-		cycles := make([]uint64, len(configs))
-		for k := range configs {
-			res := results[i*len(configs)+k]
-			if res.Err != nil {
-				return nil, res.Err
-			}
-			cycles[k] = res.Value.(RiscRun).Cycles
-		}
+		cycles := func(k int) uint64 { return runs[i*len(configs)+k].Report.Totals.Cycles }
 		rows = append(rows, AblationRow{
-			Name: w.Name, Full: cycles[0], NoOpt: cycles[1],
-			NoWindows: cycles[2], NoWindowsNoOpt: cycles[3],
+			Name: w.Name, Full: cycles(0), NoOpt: cycles(1),
+			NoWindows: cycles(2), NoWindowsNoOpt: cycles(3),
 		})
 	}
 	return rows, nil

@@ -3,8 +3,8 @@
 // capability fingerprint exchanged at startup so heterogeneous replicas
 // are detected instead of silently mis-serving, and a health-checked
 // membership table that recomputes the consistent-hash routing ring
-// over live members only. PR 9's static -peers flag made a dead home
-// replica a permanent 502; this package makes downness a observed,
+// over live members only. A static peer list made a dead home replica
+// a permanent 502; this package makes downness an observed,
 // recoverable state — a down home means the edge serves locally, and a
 // recovered peer rejoins the ring after one successful probe.
 //
@@ -25,16 +25,13 @@ import (
 	"time"
 )
 
-// ConfigSchema names the typed cluster configuration document. The
-// bare -peers/-self flags are the deprecated spelling of the same
-// data; see docs/API.md for the migration path.
+// ConfigSchema names the typed cluster configuration document.
 const ConfigSchema = "risc1.cluster-config/v1"
 
 // Config is one replica's cluster configuration
 // (risc1.cluster-config/v1): the full replica set, which entry is this
-// replica, and the health/replication knobs. Loadable from a JSON file
-// (risc1-serve -cluster file.json) or built from the deprecated
-// -peers/-self flags via FromPeers.
+// replica, and the health/replication knobs, loaded from a JSON file
+// (risc1-serve -cluster file.json).
 type Config struct {
 	// Schema names the document contract; empty means v1 on input and
 	// is normalized to ConfigSchema.
@@ -107,19 +104,6 @@ func Load(path string) (Config, error) {
 		return Config{}, fmt.Errorf("cluster config: %w", err)
 	}
 	return Parse(b)
-}
-
-// FromPeers builds a Config from the deprecated -peers/-self flag pair:
-// a comma-separated replica list and this replica's entry. The typed
-// config file is the supported spelling going forward.
-func FromPeers(peersCSV, self string) (Config, error) {
-	var peers []string
-	for _, p := range strings.Split(peersCSV, ",") {
-		if p = strings.TrimSpace(p); p != "" {
-			peers = append(peers, p)
-		}
-	}
-	return Config{Self: self, Peers: peers}.normalize()
 }
 
 // normalize cleans URLs (whitespace, trailing slashes), deduplicates

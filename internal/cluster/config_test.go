@@ -86,19 +86,6 @@ func TestLoadConfigFile(t *testing.T) {
 	}
 }
 
-func TestFromPeersLegacyFlags(t *testing.T) {
-	c, err := FromPeers(" http://a:1/, http://b:2 ,", "http://a:1")
-	if err != nil {
-		t.Fatal(err)
-	}
-	if c.Self != "http://a:1" || len(c.Peers) != 2 {
-		t.Errorf("FromPeers = %+v", c)
-	}
-	if _, err := FromPeers("http://a:1,http://b:2", "http://c:3"); err == nil {
-		t.Error("self outside the peer list did not fail")
-	}
-}
-
 func TestFingerprintCompatibility(t *testing.T) {
 	base := NewFingerprint([]string{"risc1", "cisc", "rv32"}, 1<<26, 10*time.Second, 1<<20)
 	if !base.Compatible(base) {

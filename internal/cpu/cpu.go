@@ -7,27 +7,15 @@
 package cpu
 
 import (
-	"context"
-	"errors"
 	"fmt"
 
+	"risc1/internal/fuel"
 	"risc1/internal/isa"
 	"risc1/internal/mem"
 	"risc1/internal/obs"
 	"risc1/internal/regfile"
 	"risc1/internal/trace"
 )
-
-// ErrInstructionLimit is wrapped by the error Run returns when a program
-// exhausts its instruction budget (MaxInstructions, the "fuel" limit of
-// batch execution). Check with errors.Is.
-var ErrInstructionLimit = errors.New("instruction limit exceeded")
-
-// runQuantum is how many instructions RunContext executes between
-// context checks: large enough that the check is free against the cost
-// of simulating the quantum, small enough that cancellation and
-// deadlines take effect in well under a millisecond of host time.
-const runQuantum = 8192
 
 // HaltAddr is the simulator's halt sentinel: a RET whose target is this
 // address stops the machine cleanly. The startup convention places
@@ -60,7 +48,8 @@ type Config struct {
 	// procedure calls cost without windows. (Internally this is the
 	// degenerate two-window configuration.)
 	NoWindows bool
-	// MaxInstructions aborts runaway programs; zero means 2^32.
+	// MaxInstructions is the initial instruction budget, aborting
+	// runaway programs; zero means 2^32.
 	MaxInstructions uint64
 	// NoICache disables the predecoded instruction cache, forcing a
 	// fetch+decode from memory on every instruction — the host-speed
@@ -98,8 +87,10 @@ type Stats struct {
 	DelaySlotNops uint64 // NOP-equivalent instructions executed in delay slots
 }
 
-// CPU is one RISC I processor with its memory.
+// CPU is one RISC I processor with its memory. The embedded fuel
+// driver supplies Run, RunContext, RunSteps and SetMaxInstructions.
 type CPU struct {
+	fuel.Driver
 	cfg Config
 
 	Mem   *mem.Memory
@@ -156,6 +147,7 @@ func New(cfg Config) *CPU {
 		c.icache = newICache(cfg.MemSize)
 		c.Mem.OnStore = c.icache.invalidate
 	}
+	c.Driver = fuel.New("cpu", c, c.Trace, cfg.MaxInstructions)
 	c.resetState(0)
 	return c
 }
@@ -218,55 +210,12 @@ func (c *CPU) SetEntry(entry uint32) {
 	c.Regs.Set(25, HaltAddr-8)
 }
 
-// Run executes until the program halts, faults, or exceeds the
-// instruction limit. It returns the reason for an abnormal stop.
-func (c *CPU) Run() error {
-	return c.RunContext(context.Background())
-}
-
-// RunContext executes like Run but additionally stops between
-// instruction quanta when ctx is cancelled or its deadline passes,
-// returning the context's error. Cancellation never corrupts state: the
-// machine stops on an instruction boundary and can be resumed with
-// another call. A context that is already done returns before the first
-// quantum — zero instructions execute.
-func (c *CPU) RunContext(ctx context.Context) error {
-	for {
-		if err := ctx.Err(); err != nil {
-			return err
-		}
-		halted, err := c.RunSteps(runQuantum)
-		if err != nil {
-			return err
-		}
-		if halted {
-			return nil
-		}
-	}
-}
-
-// RunSteps executes at most n instructions. It reports whether the
-// machine halted, with the fault (or wrapped ErrInstructionLimit) as the
-// error. halted false with a nil error means the budget n ran out with
-// the program still going.
-func (c *CPU) RunSteps(n uint64) (bool, error) {
+// StepN executes up to n instructions, stopping early at a halt — the
+// loop under the embedded fuel driver's Run, RunContext and RunSteps.
+func (c *CPU) StepN(n uint64) {
 	for i := uint64(0); i < n && !c.halted; i++ {
-		if c.Trace.Instructions >= c.cfg.MaxInstructions {
-			return false, fmt.Errorf("cpu: %w: limit %d at pc %#08x", ErrInstructionLimit, c.cfg.MaxInstructions, c.pc)
-		}
 		c.Step()
 	}
-	return c.halted, c.haltErr
-}
-
-// SetMaxInstructions replaces the instruction budget ("fuel") without
-// rebuilding the machine — batch-execution workers reuse one simulator
-// across jobs with differing limits. Zero restores the default of 2^32.
-func (c *CPU) SetMaxInstructions(n uint64) {
-	if n == 0 {
-		n = 1 << 32
-	}
-	c.cfg.MaxInstructions = n
 }
 
 // RaiseInterrupt requests an external interrupt. Before the next

@@ -5,7 +5,7 @@ import (
 	"errors"
 	"testing"
 
-	"risc1/internal/asm"
+	"risc1/internal/fuel"
 )
 
 // spinProg is an infinite busy loop — the guest shape the cooperative
@@ -14,15 +14,6 @@ const spinProg = `
 main:	ba main
 	nop
 `
-
-func assemble(t *testing.T, src string) *asm.Program {
-	t.Helper()
-	prog, err := asm.Assemble(src, asm.Options{})
-	if err != nil {
-		t.Fatal(err)
-	}
-	return prog
-}
 
 // TestRunContextCancellation stops an infinite guest loop from the
 // outside. A context that is already cancelled returns before any
@@ -44,7 +35,7 @@ func TestRunContextCancellation(t *testing.T) {
 
 	// Mid-run: let one quantum pass by hand, then a cancelled context
 	// stops the next boundary without losing the machine.
-	if _, err := c.RunSteps(runQuantum); err != nil {
+	if _, err := c.RunSteps(fuel.Quantum); err != nil {
 		t.Fatal(err)
 	}
 	before := c.Trace.Instructions
@@ -86,14 +77,14 @@ func TestRunStepsBudget(t *testing.T) {
 }
 
 // TestInstructionLimitSentinel pins that fuel exhaustion is a wrapped
-// ErrInstructionLimit — the sentinel internal/exec classifies on.
+// fuel.ErrExhausted — the one sentinel every backend shares.
 func TestInstructionLimitSentinel(t *testing.T) {
 	prog := assemble(t, spinProg)
 	c := New(Config{MaxInstructions: 500})
 	c.Reset(prog.Entry)
 	prog.LoadInto(c.Mem)
-	if err := c.Run(); !errors.Is(err, ErrInstructionLimit) {
-		t.Errorf("Run = %v, want wrapped ErrInstructionLimit", err)
+	if err := c.Run(); !errors.Is(err, fuel.ErrExhausted) {
+		t.Errorf("Run = %v, want wrapped fuel.ErrExhausted", err)
 	}
 }
 
@@ -104,13 +95,13 @@ func TestSetMaxInstructions(t *testing.T) {
 	c := New(Config{MaxInstructions: 100})
 	c.Reset(prog.Entry)
 	prog.LoadInto(c.Mem)
-	if err := c.Run(); !errors.Is(err, ErrInstructionLimit) {
+	if err := c.Run(); !errors.Is(err, fuel.ErrExhausted) {
 		t.Fatalf("first run = %v, want fuel exhaustion", err)
 	}
 	c.SetMaxInstructions(1000)
 	c.Reset(prog.Entry)
 	prog.LoadInto(c.Mem)
-	if err := c.Run(); !errors.Is(err, ErrInstructionLimit) {
+	if err := c.Run(); !errors.Is(err, fuel.ErrExhausted) {
 		t.Fatalf("second run = %v, want fuel exhaustion", err)
 	}
 	if c.Trace.Instructions != 1000 {
@@ -122,40 +113,5 @@ func TestSetMaxInstructions(t *testing.T) {
 	prog.LoadInto(c.Mem)
 	if halted, err := c.RunSteps(5000); err != nil || halted {
 		t.Errorf("after SetMaxInstructions(0): %v, %v; want 5000 free steps", halted, err)
-	}
-}
-
-// TestSimulatorsDoNotAliasMemory is the package-state audit's teeth: two
-// independently constructed CPUs share nothing. One runs a program and
-// scribbles over memory and registers; the other — untouched since
-// construction — must still be pristine.
-func TestSimulatorsDoNotAliasMemory(t *testing.T) {
-	scribble := assemble(t, `
-	.equ buf, 0x800
-main:	li r1, 0xdeadbeef
-	li r2, buf
-	stl r1, r2, 0
-	stl r1, r2, 4
-	ret
-	nop
-	`)
-	a := New(Config{})
-	b := New(Config{})
-	a.Reset(scribble.Entry)
-	scribble.LoadInto(a.Mem)
-	if err := a.Run(); err != nil {
-		t.Fatal(err)
-	}
-	if v, _ := a.Mem.LoadWord(0x800); v != 0xdeadbeef {
-		t.Fatalf("scribbler did not write: %#x", v)
-	}
-	if v, _ := b.Mem.LoadWord(0x800); v != 0 {
-		t.Errorf("second CPU sees the first CPU's store: mem[0x800] = %#x", v)
-	}
-	if v := b.Regs.Get(1); v != 0 {
-		t.Errorf("second CPU sees the first CPU's register write: r1 = %#x", v)
-	}
-	if b.Trace.Instructions != 0 {
-		t.Errorf("second CPU counted the first CPU's instructions: %d", b.Trace.Instructions)
 	}
 }

@@ -149,6 +149,7 @@ func (c *CPU) Fork() *CPU {
 		intEnabled: c.intEnabled,
 		opHandles:  c.opHandles,
 	}
+	n.Driver = c.Rebind(n, n.Trace)
 	if c.pendingIRQ != nil {
 		v := *c.pendingIRQ
 		n.pendingIRQ = &v

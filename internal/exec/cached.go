@@ -5,6 +5,7 @@ import (
 	"errors"
 	"time"
 
+	"risc1/internal/fuel"
 	"risc1/internal/obs"
 	"risc1/internal/rcache"
 )
@@ -113,7 +114,7 @@ func cacheable(err error) bool {
 		return true
 	case errors.As(err, new(*CompileError)):
 		return true
-	case IsFuelExhausted(err):
+	case errors.Is(err, fuel.ErrExhausted):
 		return true
 	default:
 		// Deadlines, cancellations, panics, pool shutdown, transient

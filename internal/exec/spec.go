@@ -35,8 +35,8 @@ type Spec struct {
 	Windows   int
 	NoWindows bool
 	// Fuel is the instruction budget; 0 means the simulator default
-	// (2^32). Exhausting it fails the job with the backend's wrapped
-	// fuel sentinel — check with IsFuelExhausted.
+	// (2^32). Exhausting it fails the job with a wrapped
+	// fuel.ErrExhausted.
 	Fuel uint64
 	// ResultSym is the global read back after the run; default "result".
 	ResultSym string
@@ -64,12 +64,6 @@ type CompileError struct{ Err error }
 
 func (e *CompileError) Error() string { return e.Err.Error() }
 func (e *CompileError) Unwrap() error { return e.Err }
-
-// IsFuelExhausted reports whether err is an instruction-budget
-// exhaustion on any registered machine.
-func IsFuelExhausted(err error) bool {
-	return machine.IsFuelExhausted(err)
-}
 
 // Job wraps the spec as a pool job.
 func (s Spec) Job(key string, timeout time.Duration) Job {

@@ -5,6 +5,8 @@ import (
 	"errors"
 	"testing"
 	"time"
+
+	"risc1/internal/fuel"
 )
 
 const specSrc = `
@@ -64,7 +66,7 @@ func TestSpecFuelExhausted(t *testing.T) {
 		if res.Err == nil {
 			t.Fatalf("%s: fuel-starved run succeeded", m)
 		}
-		if !IsFuelExhausted(res.Err) {
+		if !errors.Is(res.Err, fuel.ErrExhausted) {
 			t.Errorf("%s: error %v not recognized as fuel exhaustion", m, res.Err)
 		}
 	}
@@ -76,7 +78,7 @@ func TestSpecCompileError(t *testing.T) {
 	if !errors.As(res.Err, &ce) {
 		t.Fatalf("error = %v, want *CompileError", res.Err)
 	}
-	if IsFuelExhausted(res.Err) {
+	if errors.Is(res.Err, fuel.ErrExhausted) {
 		t.Error("compile error misread as fuel exhaustion")
 	}
 }

@@ -1,8 +1,6 @@
 package machine
 
 import (
-	"context"
-
 	"risc1/internal/cc"
 	"risc1/internal/mem"
 	"risc1/internal/obs"
@@ -10,30 +8,22 @@ import (
 )
 
 // ciscMachine adapts *vax.CPU — the VAX-style CISC baseline.
-type ciscMachine struct{ c *vax.CPU }
+type ciscMachine struct{ *vax.CPU }
 
-func (m ciscMachine) unwrap() any                          { return m.c }
-func (m ciscMachine) Reset(entry uint32)                   { m.c.Reset(entry) }
-func (m ciscMachine) Mem() *mem.Memory                     { return m.c.Mem }
-func (m ciscMachine) RunContext(ctx context.Context) error { return m.c.RunContext(ctx) }
-func (m ciscMachine) RunSteps(n uint64) (bool, error)      { return m.c.RunSteps(n) }
-func (m ciscMachine) SetMaxInstructions(n uint64)          { m.c.SetMaxInstructions(n) }
-func (m ciscMachine) PC() uint32                           { return m.c.PC() }
-func (m ciscMachine) Halted() (bool, error)                { return m.c.Halted() }
-func (m ciscMachine) Instructions() uint64                 { return m.c.Trace.Instructions }
-func (m ciscMachine) Cycles() uint64                       { return m.c.Trace.Cycles }
-func (m ciscMachine) Micros() float64                      { return m.c.Micros() }
-func (m ciscMachine) Observe(o *obs.Observer)              { m.c.Obs = o }
-func (m ciscMachine) BuildReport(w string) obs.Report      { return m.c.BuildReport(w) }
+func (m ciscMachine) unwrap() any             { return m.CPU }
+func (m ciscMachine) Mem() *mem.Memory        { return m.CPU.Mem }
+func (m ciscMachine) Instructions() uint64    { return m.CPU.Trace.Instructions }
+func (m ciscMachine) Cycles() uint64          { return m.CPU.Trace.Cycles }
+func (m ciscMachine) Observe(o *obs.Observer) { m.CPU.Obs = o }
 
 func (m ciscMachine) Registers() []uint32 {
-	regs := make([]uint32, len(m.c.R))
-	copy(regs, m.c.R[:])
+	regs := make([]uint32, len(m.CPU.R))
+	copy(regs, m.CPU.R[:])
 	return regs
 }
 
-func (m ciscMachine) Snapshot() Snapshot { return ciscSnapshot{m.c.Snapshot()} }
-func (m ciscMachine) Restore(s Snapshot) { m.c.Restore(s.(ciscSnapshot).s) }
+func (m ciscMachine) Snapshot() Snapshot { return ciscSnapshot{m.CPU.Snapshot()} }
+func (m ciscMachine) Restore(s Snapshot) { m.CPU.Restore(s.(ciscSnapshot).s) }
 
 type ciscSnapshot struct{ s *vax.Snapshot }
 
@@ -76,8 +66,7 @@ func init() {
 			}
 			return ciscProgram{prog}, text, passStats(stats), nil
 		},
-		New:     func(o Options) Machine { return ciscMachine{vax.New(ciscConfig(o))} },
-		ErrFuel: vax.ErrInstructionLimit,
+		New: func(o Options) Machine { return ciscMachine{vax.New(ciscConfig(o))} },
 		Normalize: func(o Options) Options {
 			o.DelaySlots = false
 			o.Windows = 0

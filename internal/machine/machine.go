@@ -40,8 +40,8 @@ type Machine interface {
 	// boundary and can be resumed.
 	RunContext(ctx context.Context) error
 	// RunSteps executes at most n instructions. It reports whether the
-	// machine halted, with the fault (or the backend's wrapped fuel
-	// sentinel) as the error; (false, nil) means the budget n ran out
+	// machine halted, with the fault (or a wrapped fuel.ErrExhausted)
+	// as the error; (false, nil) means the budget n ran out
 	// with the program still going.
 	RunSteps(n uint64) (halted bool, err error)
 	// SetMaxInstructions replaces the fuel budget without rebuilding
@@ -131,8 +131,8 @@ type Options struct {
 	// backend default (1 MiB).
 	MemSize int
 	// Fuel is the instruction budget; zero means the backend default
-	// (2^32). Exhausting it fails the run with the backend's wrapped
-	// fuel sentinel — classify with IsFuelExhausted.
+	// (2^32). Exhausting it fails the run with a wrapped
+	// fuel.ErrExhausted.
 	Fuel uint64
 }
 

@@ -1,7 +1,6 @@
 package machine_test
 
 import (
-	"errors"
 	"fmt"
 	"testing"
 
@@ -56,17 +55,6 @@ func TestNamesSorted(t *testing.T) {
 	want := []string{"cisc", "risc1", "rv32"}
 	if fmt.Sprint(names) != fmt.Sprint(want) {
 		t.Errorf("Names() = %v, want %v", names, want)
-	}
-}
-
-func TestIsFuelExhausted(t *testing.T) {
-	for _, b := range machine.Machines() {
-		if !machine.IsFuelExhausted(fmt.Errorf("wrapped: %w", b.ErrFuel)) {
-			t.Errorf("%s sentinel not classified", b.Name)
-		}
-	}
-	if machine.IsFuelExhausted(errors.New("other")) {
-		t.Error("unrelated error classified as fuel exhaustion")
 	}
 }
 

@@ -12,9 +12,12 @@ import (
 	"bytes"
 	"context"
 	"errors"
+	"fmt"
+	"regexp"
 	"testing"
 	"time"
 
+	"risc1/internal/fuel"
 	"risc1/internal/machine"
 )
 
@@ -150,25 +153,80 @@ func Run(t *testing.T, b *machine.Backend) {
 	})
 
 	t.Run("fuel", func(t *testing.T) {
-		// Exhausting the budget must fail with the backend's wrapped
-		// sentinel, leave the machine unhalted (inspectable), and be
-		// classified by the registry helper.
-		prog := compile(t, spinSrc, machine.Options{})
+		// Every backend runs under the one fuel driver. Exhausting the
+		// budget fails with a wrapped fuel.ErrExhausted after exactly
+		// the budget's instructions — also when it is not a multiple of
+		// the context-check quantum — names the limit and the pc, and
+		// leaves the machine unhalted (inspectable).
+		spin := compile(t, spinSrc, machine.Options{})
+		exhausted := func(t *testing.T, m machine.Machine, err error, limit uint64) {
+			t.Helper()
+			if !errors.Is(err, fuel.ErrExhausted) {
+				t.Fatalf("%s: fuel %d: err = %v, want wrapped fuel.ErrExhausted", b.Name, limit, err)
+			}
+			if got := m.Instructions(); got != limit {
+				t.Errorf("%s: fuel %d: executed %d instructions", b.Name, limit, got)
+			}
+			msg := fmt.Sprintf(`^[a-z0-9]+: instruction limit exceeded: limit %d at pc %#08x$`, limit, m.PC())
+			if !regexp.MustCompile(msg).MatchString(err.Error()) {
+				t.Errorf("%s: fuel message %q, want %s", b.Name, err, msg)
+			}
+			if h, _ := m.Halted(); h {
+				t.Errorf("%s: fuel exhaustion halted the machine", b.Name)
+			}
+		}
+		for _, limit := range []uint64{64, fuel.Quantum + 37} {
+			m := b.New(machine.Options{Fuel: limit})
+			load(t, m, spin)
+			exhausted(t, m, m.RunContext(context.Background()), limit)
+		}
+
+		// RunSteps: a budget that ends on the limit is no error; the
+		// next instruction is. A budget across the limit stops at it.
 		m := b.New(machine.Options{Fuel: 64})
+		load(t, m, spin)
+		for _, n := range []uint64{40, 24} {
+			if halted, err := m.RunSteps(n); halted || err != nil {
+				t.Fatalf("%s: RunSteps(%d) = (%v, %v), want (false, nil)", b.Name, n, halted, err)
+			}
+		}
+		if got := m.Instructions(); got != 64 {
+			t.Fatalf("%s: RunSteps(40)+RunSteps(24) executed %d, want 64", b.Name, got)
+		}
+		_, err := m.RunSteps(1)
+		exhausted(t, m, err, 64)
+		m = b.New(machine.Options{Fuel: 64})
+		load(t, m, spin)
+		m.RunSteps(40)
+		_, err = m.RunSteps(40)
+		exhausted(t, m, err, 64)
+
+		// SetMaxInstructions re-arms the budget on the same machine;
+		// zero restores the default (fuel_test pins its value).
+		m.SetMaxInstructions(100)
+		exhausted(t, m, m.RunContext(context.Background()), 100)
+		m.SetMaxInstructions(0)
+		if halted, err := m.RunSteps(fuel.Quantum); halted || err != nil {
+			t.Errorf("%s: after SetMaxInstructions(0): (%v, %v), want (false, nil)", b.Name, halted, err)
+		}
+
+		// A halt on the last unit of fuel is a clean halt; one unit
+		// less is exhaustion.
+		prog := compile(t, src, machine.Options{})
+		m = b.New(machine.Options{})
 		load(t, m, prog)
-		err := m.RunContext(context.Background())
-		if err == nil {
-			t.Fatalf("%s: spin with fuel 64 returned nil", b.Name)
+		if err := m.RunContext(context.Background()); err != nil {
+			t.Fatalf("%s: run: %v", b.Name, err)
 		}
-		if !errors.Is(err, b.ErrFuel) {
-			t.Errorf("%s: err = %v, want wrapped %v", b.Name, err, b.ErrFuel)
+		need := m.Instructions()
+		m = b.New(machine.Options{Fuel: need})
+		load(t, m, prog)
+		if err := m.RunContext(context.Background()); err != nil {
+			t.Errorf("%s: halt on the last unit of fuel %d: %v", b.Name, need, err)
 		}
-		if !machine.IsFuelExhausted(err) {
-			t.Errorf("%s: IsFuelExhausted(%v) = false", b.Name, err)
-		}
-		if h, _ := m.Halted(); h {
-			t.Errorf("%s: fuel exhaustion halted the machine", b.Name)
-		}
+		m = b.New(machine.Options{Fuel: need - 1})
+		load(t, m, prog)
+		exhausted(t, m, m.RunContext(context.Background()), need-1)
 	})
 
 	t.Run("cancellation", func(t *testing.T) {
@@ -181,6 +239,9 @@ func Run(t *testing.T, b *machine.Backend) {
 		cancel()
 		if err := m.RunContext(ctx); !errors.Is(err, context.Canceled) {
 			t.Fatalf("%s: cancelled run err = %v, want context.Canceled", b.Name, err)
+		}
+		if got := m.Instructions(); got != 0 {
+			t.Errorf("%s: cancelled context executed %d instructions, want 0", b.Name, got)
 		}
 		if h, _ := m.Halted(); h {
 			t.Errorf("%s: cancellation halted the machine", b.Name)

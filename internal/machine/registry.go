@@ -1,7 +1,6 @@
 package machine
 
 import (
-	"errors"
 	"fmt"
 	"sort"
 	"strings"
@@ -31,9 +30,6 @@ type Backend struct {
 	Compile func(src string, o Options) (Program, string, []obs.PassStat, error)
 	// New builds a fresh machine configured by o.
 	New func(o Options) Machine
-	// ErrFuel is the backend's instruction-limit sentinel; run errors
-	// wrap it. IsFuelExhausted checks all of them.
-	ErrFuel error
 	// Normalize zeroes the Options fields this backend ignores, so
 	// requests differing only in irrelevant knobs share cache entries
 	// and report configs. It must be idempotent.
@@ -114,15 +110,4 @@ func Names() []string {
 	}
 	sort.Strings(out)
 	return out
-}
-
-// IsFuelExhausted reports whether err is an instruction-budget
-// exhaustion on any registered machine.
-func IsFuelExhausted(err error) bool {
-	for _, b := range backends {
-		if b.ErrFuel != nil && errors.Is(err, b.ErrFuel) {
-			return true
-		}
-	}
-	return false
 }

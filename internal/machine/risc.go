@@ -1,8 +1,6 @@
 package machine
 
 import (
-	"context"
-
 	"risc1/internal/asm"
 	"risc1/internal/cc"
 	"risc1/internal/cpu"
@@ -11,34 +9,27 @@ import (
 )
 
 // riscMachine adapts *cpu.CPU — the paper's register-window RISC I —
-// to the Machine interface.
-type riscMachine struct{ c *cpu.CPU }
+// to the Machine interface. Embedding promotes the CPU's own methods,
+// the fuel driver's run methods among them.
+type riscMachine struct{ *cpu.CPU }
 
-func (m riscMachine) unwrap() any                          { return m.c }
-func (m riscMachine) Reset(entry uint32)                   { m.c.Reset(entry) }
-func (m riscMachine) Mem() *mem.Memory                     { return m.c.Mem }
-func (m riscMachine) RunContext(ctx context.Context) error { return m.c.RunContext(ctx) }
-func (m riscMachine) RunSteps(n uint64) (bool, error)      { return m.c.RunSteps(n) }
-func (m riscMachine) SetMaxInstructions(n uint64)          { m.c.SetMaxInstructions(n) }
-func (m riscMachine) PC() uint32                           { return m.c.PC() }
-func (m riscMachine) Halted() (bool, error)                { return m.c.Halted() }
-func (m riscMachine) Instructions() uint64                 { return m.c.Trace.Instructions }
-func (m riscMachine) Cycles() uint64                       { return m.c.Trace.Cycles }
-func (m riscMachine) Micros() float64                      { return m.c.Micros() }
-func (m riscMachine) Observe(o *obs.Observer)              { m.c.Obs = o }
-func (m riscMachine) BuildReport(w string) obs.Report      { return m.c.BuildReport(w) }
+func (m riscMachine) unwrap() any             { return m.CPU }
+func (m riscMachine) Mem() *mem.Memory        { return m.CPU.Mem }
+func (m riscMachine) Instructions() uint64    { return m.CPU.Trace.Instructions }
+func (m riscMachine) Cycles() uint64          { return m.CPU.Trace.Cycles }
+func (m riscMachine) Observe(o *obs.Observer) { m.CPU.Obs = o }
 
 // Registers returns the active window's 32 visible registers.
 func (m riscMachine) Registers() []uint32 {
 	regs := make([]uint32, 32)
 	for r := range regs {
-		regs[r] = m.c.Regs.Get(uint8(r))
+		regs[r] = m.CPU.Regs.Get(uint8(r))
 	}
 	return regs
 }
 
-func (m riscMachine) Snapshot() Snapshot { return riscSnapshot{m.c.Snapshot()} }
-func (m riscMachine) Restore(s Snapshot) { m.c.Restore(s.(riscSnapshot).s) }
+func (m riscMachine) Snapshot() Snapshot { return riscSnapshot{m.CPU.Snapshot()} }
+func (m riscMachine) Restore(s Snapshot) { m.CPU.Restore(s.(riscSnapshot).s) }
 
 type riscSnapshot struct{ s *cpu.Snapshot }
 
@@ -87,8 +78,7 @@ func init() {
 			}
 			return riscProgram{prog}, text, passStats(stats), nil
 		},
-		New:     func(o Options) Machine { return riscMachine{cpu.New(riscConfig(o))} },
-		ErrFuel: cpu.ErrInstructionLimit,
+		New: func(o Options) Machine { return riscMachine{cpu.New(riscConfig(o))} },
 		// Every Options field is meaningful on RISC I.
 		Normalize: func(o Options) Options { return o },
 		// The predecoded-icache counters are host machinery: they

@@ -1,8 +1,6 @@
 package machine
 
 import (
-	"context"
-
 	"risc1/internal/cc"
 	"risc1/internal/mem"
 	"risc1/internal/obs"
@@ -11,30 +9,22 @@ import (
 
 // rv32Machine adapts *rv32.CPU — the modern delay-slot-free RISC with a
 // flat register file, the third point in the design-space comparison.
-type rv32Machine struct{ c *rv32.CPU }
+type rv32Machine struct{ *rv32.CPU }
 
-func (m rv32Machine) unwrap() any                          { return m.c }
-func (m rv32Machine) Reset(entry uint32)                   { m.c.Reset(entry) }
-func (m rv32Machine) Mem() *mem.Memory                     { return m.c.Mem }
-func (m rv32Machine) RunContext(ctx context.Context) error { return m.c.RunContext(ctx) }
-func (m rv32Machine) RunSteps(n uint64) (bool, error)      { return m.c.RunSteps(n) }
-func (m rv32Machine) SetMaxInstructions(n uint64)          { m.c.SetMaxInstructions(n) }
-func (m rv32Machine) PC() uint32                           { return m.c.PC() }
-func (m rv32Machine) Halted() (bool, error)                { return m.c.Halted() }
-func (m rv32Machine) Instructions() uint64                 { return m.c.Trace.Instructions }
-func (m rv32Machine) Cycles() uint64                       { return m.c.Trace.Cycles }
-func (m rv32Machine) Micros() float64                      { return m.c.Micros() }
-func (m rv32Machine) Observe(o *obs.Observer)              { m.c.Obs = o }
-func (m rv32Machine) BuildReport(w string) obs.Report      { return m.c.BuildReport(w) }
+func (m rv32Machine) unwrap() any             { return m.CPU }
+func (m rv32Machine) Mem() *mem.Memory        { return m.CPU.Mem }
+func (m rv32Machine) Instructions() uint64    { return m.CPU.Trace.Instructions }
+func (m rv32Machine) Cycles() uint64          { return m.CPU.Trace.Cycles }
+func (m rv32Machine) Observe(o *obs.Observer) { m.CPU.Obs = o }
 
 func (m rv32Machine) Registers() []uint32 {
-	regs := make([]uint32, len(m.c.R))
-	copy(regs, m.c.R[:])
+	regs := make([]uint32, len(m.CPU.R))
+	copy(regs, m.CPU.R[:])
 	return regs
 }
 
-func (m rv32Machine) Snapshot() Snapshot { return rv32Snapshot{m.c.Snapshot()} }
-func (m rv32Machine) Restore(s Snapshot) { m.c.Restore(s.(rv32Snapshot).s) }
+func (m rv32Machine) Snapshot() Snapshot { return rv32Snapshot{m.CPU.Snapshot()} }
+func (m rv32Machine) Restore(s Snapshot) { m.CPU.Restore(s.(rv32Snapshot).s) }
 
 type rv32Snapshot struct{ s *rv32.Snapshot }
 
@@ -77,8 +67,7 @@ func init() {
 			}
 			return rv32Program{prog}, text, passStats(stats), nil
 		},
-		New:     func(o Options) Machine { return rv32Machine{rv32.New(rv32Config(o))} },
-		ErrFuel: rv32.ErrInstructionLimit,
+		New: func(o Options) Machine { return rv32Machine{rv32.New(rv32Config(o))} },
 		Normalize: func(o Options) Options {
 			o.DelaySlots = false
 			o.Windows = 0

@@ -8,57 +8,17 @@ import (
 	"time"
 )
 
-// Latency histograms for risc1-serve's /metrics: fixed log-spaced
-// buckets rendered in the Prometheus histogram text format. The bucket
-// bounds are compiled in rather than configurable — every replica
-// exports the same bounds, which is what makes fleet-wide quantile
-// aggregation valid.
+// Latency histograms for risc1-serve's /metrics: LogHist series with a
+// fixed log-spaced layout, rendered in the Prometheus histogram text
+// format. The layout is compiled in rather than configurable — every
+// replica exports the same bounds, which is what makes fleet-wide
+// quantile aggregation valid.
 
-// latencyBuckets are the upper bounds in seconds: log-spaced, doubling
+// newLatencyHist returns one series' histogram: upper bounds doubling
 // from 100 µs to ~26 s. Requests are bounded by -max-timeout (10 s by
 // default), so the top finite bucket comfortably covers every outcome
 // short of a stall; +Inf is implicit.
-var latencyBuckets = func() []float64 {
-	b := make([]float64, 19)
-	v := 100e-6
-	for i := range b {
-		b[i] = v
-		v *= 2
-	}
-	return b
-}()
-
-// Histogram counts observations into the fixed log-spaced latency
-// buckets. Safe for concurrent use.
-type Histogram struct {
-	mu      sync.Mutex
-	buckets []uint64 // per-bucket counts (not cumulative); +Inf is the last slot
-	count   uint64
-	sum     time.Duration
-}
-
-// NewHistogram returns an empty latency histogram.
-func NewHistogram() *Histogram {
-	return &Histogram{buckets: make([]uint64, len(latencyBuckets)+1)}
-}
-
-// Observe records one request duration.
-func (h *Histogram) Observe(d time.Duration) {
-	sec := d.Seconds()
-	i := sort.SearchFloat64s(latencyBuckets, sec)
-	h.mu.Lock()
-	h.buckets[i]++
-	h.count++
-	h.sum += d
-	h.mu.Unlock()
-}
-
-// Count returns the number of observations.
-func (h *Histogram) Count() uint64 {
-	h.mu.Lock()
-	defer h.mu.Unlock()
-	return h.count
-}
+func newLatencyHist() *LogHist { return NewLogHist(100*time.Microsecond, 2, 19) }
 
 // HistogramVec partitions latency observations by a small fixed set of
 // label values — risc1-serve labels by request outcome and result-cache
@@ -70,13 +30,13 @@ type HistogramVec struct {
 	labels []string
 
 	mu sync.Mutex
-	hs map[string]*Histogram // key: label values joined with \x00
+	hs map[string]*LogHist // key: label values joined with \x00
 }
 
 // NewHistogramVec names the metric family and its label names, in render
 // order.
 func NewHistogramVec(name string, labels ...string) *HistogramVec {
-	return &HistogramVec{name: name, labels: labels, hs: make(map[string]*Histogram)}
+	return &HistogramVec{name: name, labels: labels, hs: make(map[string]*LogHist)}
 }
 
 // Observe records d under the given label values (one per label name).
@@ -88,7 +48,7 @@ func (v *HistogramVec) Observe(d time.Duration, values ...string) {
 	v.mu.Lock()
 	h, ok := v.hs[key]
 	if !ok {
-		h = NewHistogram()
+		h = newLatencyHist()
 		v.hs[key] = h
 	}
 	v.mu.Unlock()
@@ -105,7 +65,7 @@ func (v *HistogramVec) Prometheus() string {
 	for k := range v.hs {
 		keys = append(keys, k)
 	}
-	hs := make(map[string]*Histogram, len(v.hs))
+	hs := make(map[string]*LogHist, len(v.hs))
 	for k, h := range v.hs {
 		hs[k] = h
 	}
@@ -128,11 +88,11 @@ func (v *HistogramVec) Prometheus() string {
 
 		h.mu.Lock()
 		cum := uint64(0)
-		for i, bound := range latencyBuckets {
-			cum += h.buckets[i]
+		for i, bound := range h.bounds {
+			cum += h.counts[i]
 			fmt.Fprintf(&b, "%s_bucket{%s,le=%q} %d\n", v.name, labels, formatBound(bound), cum)
 		}
-		cum += h.buckets[len(latencyBuckets)]
+		cum += h.counts[len(h.bounds)]
 		fmt.Fprintf(&b, "%s_bucket{%s,le=\"+Inf\"} %d\n", v.name, labels, cum)
 		fmt.Fprintf(&b, "%s_sum{%s} %g\n", v.name, labels, h.sum.Seconds())
 		fmt.Fprintf(&b, "%s_count{%s} %d\n", v.name, labels, h.count)

@@ -21,6 +21,7 @@ func TestHistogramBuckets(t *testing.T) {
 		"# TYPE test_seconds histogram\n",
 		`test_seconds_bucket{outcome="ok",le="0.0001"} 2` + "\n",
 		`test_seconds_bucket{outcome="ok",le="0.0002"} 3` + "\n",
+		`test_seconds_bucket{outcome="ok",le="26.2144"} 3` + "\n", // top of 19 doubling bounds
 		`test_seconds_bucket{outcome="ok",le="+Inf"} 4` + "\n",
 		`test_seconds_count{outcome="ok"} 4` + "\n",
 	} {

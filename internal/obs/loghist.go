@@ -8,11 +8,11 @@ import (
 )
 
 // LogHist is a log-spaced latency histogram with quantile estimation —
-// the load generator's measurement primitive. Unlike Histogram (whose
-// bucket layout is frozen so every serve replica exports identical
-// Prometheus bounds), LogHist takes its layout at construction, because
-// a load test wants finer resolution than an exporter needs, and its
-// quantiles are read out once at the end of a run rather than scraped.
+// the load generator's measurement primitive and, under HistogramVec,
+// the series behind risc1-serve's /metrics latency family. It takes its
+// layout at construction: a load test wants finer resolution than an
+// exporter needs, while the exporter's layout is frozen so every serve
+// replica exports identical Prometheus bounds.
 //
 // Quantiles are conservative: Quantile(q) returns the UPPER bound of the
 // bucket holding the q-th observation, so "p99 = 3.2ms" means at least

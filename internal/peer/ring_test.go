@@ -21,7 +21,7 @@ func TestRingDeterministic(t *testing.T) {
 }
 
 // TestRingOrderIndependent: the node list's order must not affect
-// placement — operators won't spell -peers identically on every replica.
+// placement — operators won't list peers identically on every replica.
 func TestRingOrderIndependent(t *testing.T) {
 	a := NewRing([]string{"n1", "n2", "n3"}, 0)
 	b := NewRing([]string{"n3", "n1", "n2"}, 0)

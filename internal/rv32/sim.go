@@ -1,25 +1,14 @@
 package rv32
 
 import (
-	"context"
-	"errors"
 	"fmt"
 	"math"
 
+	"risc1/internal/fuel"
 	"risc1/internal/mem"
 	"risc1/internal/obs"
 	"risc1/internal/trace"
 )
-
-// ErrInstructionLimit is wrapped by the error Run returns when a program
-// exhausts its instruction budget — the same sentinel contract as
-// cpu.ErrInstructionLimit and vax.ErrInstructionLimit, so batch
-// execution treats all machines uniformly. Check with errors.Is.
-var ErrInstructionLimit = errors.New("instruction limit exceeded")
-
-// runQuantum matches cpu.runQuantum: instructions between context
-// checks in RunContext.
-const runQuantum = 8192
 
 // Config selects the machine's parameters.
 type Config struct {
@@ -27,7 +16,8 @@ type Config struct {
 	MemSize int
 	// StackTop is the initial sp; zero places it at the top of memory.
 	StackTop uint32
-	// MaxInstructions aborts runaway programs; zero means 2^32.
+	// MaxInstructions is the initial instruction budget, aborting
+	// runaway programs; zero means 2^32.
 	MaxInstructions uint64
 }
 
@@ -53,8 +43,10 @@ type Stats struct {
 	MulDivOps       uint64 // M-extension instructions executed
 }
 
-// CPU is the delay-slot-free RISC processor.
+// CPU is the delay-slot-free RISC processor. The embedded fuel driver
+// supplies Run, RunContext, RunSteps and SetMaxInstructions.
 type CPU struct {
+	fuel.Driver
 	cfg Config
 
 	Mem   *mem.Memory
@@ -94,6 +86,7 @@ func New(cfg Config) *CPU {
 	for _, info := range Instructions() {
 		c.opHandles[info.Op] = c.Trace.Handle(info.Name, info.Class)
 	}
+	c.Driver = fuel.New("rv32", c, c.Trace, cfg.MaxInstructions)
 	c.resetState(0)
 	return c
 }
@@ -132,51 +125,12 @@ func (c *CPU) SetEntry(entry uint32) {
 	c.resetState(entry)
 }
 
-// Run executes until ECALL, a fault, or the instruction limit.
-func (c *CPU) Run() error {
-	return c.RunContext(context.Background())
-}
-
-// RunContext executes like Run but stops between instruction quanta
-// when ctx is cancelled or its deadline passes, returning the context's
-// error. The machine stops on an instruction boundary and can resume.
-// A context that is already done returns before the first quantum —
-// zero instructions execute.
-func (c *CPU) RunContext(ctx context.Context) error {
-	for {
-		if err := ctx.Err(); err != nil {
-			return err
-		}
-		halted, err := c.RunSteps(runQuantum)
-		if err != nil {
-			return err
-		}
-		if halted {
-			return nil
-		}
-	}
-}
-
-// RunSteps executes at most n instructions, reporting whether the
-// machine halted, with the fault (or wrapped ErrInstructionLimit) as
-// the error. halted false with a nil error means the budget n ran out.
-func (c *CPU) RunSteps(n uint64) (bool, error) {
+// StepN executes up to n instructions, stopping early at a halt — the
+// loop under the embedded fuel driver's Run, RunContext and RunSteps.
+func (c *CPU) StepN(n uint64) {
 	for i := uint64(0); i < n && !c.halted; i++ {
-		if c.Trace.Instructions >= c.cfg.MaxInstructions {
-			return false, fmt.Errorf("rv32: %w: limit %d at pc %#08x", ErrInstructionLimit, c.cfg.MaxInstructions, c.pc)
-		}
 		c.Step()
 	}
-	return c.halted, c.haltErr
-}
-
-// SetMaxInstructions replaces the instruction budget ("fuel") without
-// rebuilding the machine. Zero restores the default of 2^32.
-func (c *CPU) SetMaxInstructions(n uint64) {
-	if n == 0 {
-		n = 1 << 32
-	}
-	c.cfg.MaxInstructions = n
 }
 
 func (c *CPU) fault(err error) {

@@ -4,6 +4,8 @@ import (
 	"errors"
 	"math"
 	"testing"
+
+	"risc1/internal/fuel"
 )
 
 func runSource(t *testing.T, src string) *CPU {
@@ -173,8 +175,8 @@ func TestInstructionLimit(t *testing.T) {
 		t.Fatal(err)
 	}
 	err := c.Run()
-	if !errors.Is(err, ErrInstructionLimit) {
-		t.Fatalf("err = %v, want ErrInstructionLimit", err)
+	if !errors.Is(err, fuel.ErrExhausted) {
+		t.Fatalf("err = %v, want fuel.ErrExhausted", err)
 	}
 }
 

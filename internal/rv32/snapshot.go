@@ -82,7 +82,7 @@ func (s *Snapshot) Release() { s.mem.Release() }
 // copy-on-write and registers and statistics copied. Observers are not
 // carried over. Parent and fork may then run concurrently.
 func (c *CPU) Fork() *CPU {
-	return &CPU{
+	n := &CPU{
 		cfg:       c.cfg,
 		Mem:       c.Mem.Fork(),
 		R:         c.R,
@@ -94,4 +94,6 @@ func (c *CPU) Fork() *CPU {
 		haltErr:   c.haltErr,
 		opHandles: c.opHandles,
 	}
+	n.Driver = c.Rebind(n, n.Trace)
+	return n
 }

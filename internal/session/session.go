@@ -306,7 +306,7 @@ func (s *Session) run(ctx context.Context, maxSteps uint64, honorBps bool) (Stat
 			return s.state(StopFault, start), nil
 		case err != nil:
 			// RunSteps only errors without halting on fuel exhaustion
-			// (cpu/vax ErrInstructionLimit); the session stays inspectable.
+			// (a wrapped fuel.ErrExhausted); the session stays inspectable.
 			return s.state(StopFuel, start), nil
 		case halted:
 			return s.state(StopHalt, start), nil

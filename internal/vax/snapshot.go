@@ -104,5 +104,6 @@ func (c *CPU) Fork() *CPU {
 		haltErr:   c.haltErr,
 		opHandles: c.opHandles,
 	}
+	n.Driver = c.Rebind(n, n.Trace)
 	return n
 }
