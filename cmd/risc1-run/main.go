@@ -94,47 +94,17 @@ func main() {
 	c := cpu.New(cpu.Config{Windows: *windows, NoWindows: *noWindows, NoICache: *noICache, MaxInstructions: *limit})
 
 	symtab := obs.NewSymTab(prog.Symbols)
-	needTrace := *traceOut != "" || *traceN > 0
-	needProf := *profileOut != "" || *reportOut != ""
-	var o *obs.Observer
-	var traceFile *os.File
-	if needTrace || needProf {
-		o = &obs.Observer{}
-		if needProf {
-			o.Prof = obs.NewProfiler()
-			o.Prof.Start(prog.Entry)
-		}
-		if needTrace {
-			w := os.Stdout
-			format := "text"
-			if *traceOut != "" {
-				format, err = obs.TraceFormat(*traceOut, *traceFormat)
-				if err != nil {
-					fatal(err)
-				}
-				traceFile, err = os.Create(*traceOut)
-				if err != nil {
-					fatal(err)
-				}
-				w = traceFile
-			} else if *traceFormat != "" {
-				if format, err = obs.TraceFormat("", *traceFormat); err != nil {
-					fatal(err)
-				}
-			}
-			symbolize := func(pc uint32) (string, bool) {
-				name, off, ok := symtab.Lookup(pc)
-				return name, ok && off == 0
-			}
-			sink, err := obs.NewSink(format, w, cpu.DefaultCycleNS, symbolize)
-			if err != nil {
-				fatal(err)
-			}
-			o.Tracer = obs.NewTracer(0, sink)
-			o.Tracer.Limit = *traceN
-		}
-		c.Obs = o
+	run, err := obs.NewCLIRun(obs.CLIOptions{
+		TraceN:      *traceN,
+		TraceOut:    *traceOut,
+		TraceFormat: *traceFormat,
+		Profile:     *profileOut != "" || *reportOut != "",
+		NSPerCycle:  cpu.DefaultCycleNS,
+	}, prog.Entry, symtab)
+	if err != nil {
+		fatal(err)
 	}
+	c.Obs = run.Observer
 
 	c.Reset(prog.Entry)
 	if err := prog.LoadInto(c.Mem); err != nil {
@@ -144,7 +114,7 @@ func main() {
 		// Time travel rewinds the machine through snapshots, which do not
 		// carry observer state — replayed instructions would be observed
 		// twice. Keep the modes separate.
-		if needTrace || needProf {
+		if run.Observer != nil {
 			fatal(fmt.Errorf("-step-back cannot be combined with -trace, -profile or -report"))
 		}
 		if err := timeTravel(c, *stepBack, os.Stdout); err != nil {
@@ -152,27 +122,8 @@ func main() {
 		}
 		return
 	}
-	runErr := c.Run()
-	if o != nil {
-		if err := o.Finish(); err != nil {
-			fmt.Fprintln(os.Stderr, "risc1-run: trace:", err)
-		}
-		if traceFile != nil {
-			if err := traceFile.Close(); err != nil {
-				fatal(err)
-			}
-		}
-	}
-	if runErr != nil {
-		if o != nil && o.Tracer != nil {
-			fmt.Fprintln(os.Stderr, "last events before the fault:")
-			ts := obs.NewTextSink(os.Stderr)
-			for _, ev := range o.Tracer.Tail(16) {
-				ts.Emit(ev)
-			}
-			ts.Close()
-		}
-		fatal(runErr)
+	if err := run.Finish("risc1-run", c.Run()); err != nil {
+		fatal(err)
 	}
 
 	fmt.Printf("halted after %d instructions, %d cycles (%.1f µs at 400 ns)\n",
@@ -219,8 +170,8 @@ func main() {
 	}
 
 	if *profileOut != "" {
-		text := obs.FormatProfile(o.Prof, symtab, c.Disassembler(), *top)
-		if err := writeOut(*profileOut, []byte(text)); err != nil {
+		text := obs.FormatProfile(run.Observer.Prof, symtab, c.Disassembler(), *top)
+		if err := obs.WriteOut(*profileOut, []byte(text)); err != nil {
 			fatal(err)
 		}
 	}
@@ -233,24 +184,15 @@ func main() {
 			r.Config.OptLevel = *opt
 			r.Config.Passes = passes
 		}
-		r.Profile = obs.ProfileSection(o.Prof, symtab, c.Disassembler(), *top)
+		r.Profile = obs.ProfileSection(run.Observer.Prof, symtab, c.Disassembler(), *top)
 		b, err := r.JSON()
 		if err != nil {
 			fatal(err)
 		}
-		if err := writeOut(*reportOut, b); err != nil {
+		if err := obs.WriteOut(*reportOut, b); err != nil {
 			fatal(err)
 		}
 	}
-}
-
-// writeOut writes data to path, with "-" meaning stdout.
-func writeOut(path string, data []byte) error {
-	if path == "-" {
-		_, err := os.Stdout.Write(data)
-		return err
-	}
-	return os.WriteFile(path, data, 0o644)
 }
 
 func fatal(err error) {

@@ -10,6 +10,7 @@ import (
 	"net/http/httptest"
 	"os"
 	"path/filepath"
+	"runtime"
 	"strings"
 	"sync"
 	"testing"
@@ -203,6 +204,29 @@ func TestRunCompileError(t *testing.T) {
 	}
 	if code := errorCode(t, b); code != "compile_error" {
 		t.Errorf("code = %q, want compile_error", code)
+	}
+}
+
+// TestRunOversizedImage: a tiny request whose program image would not
+// fit the machine memory is a 400 compile_error, rejected before the
+// assembler allocates the image.
+func TestRunOversizedImage(t *testing.T) {
+	ts, _, _ := newTestServer(t, ServerConfig{})
+	for _, m := range []string{"risc1", "cisc", "rv32"} {
+		body := `{"machine": "` + m + `", "source": "int result; int a[100000000]; int main() { result = 7; return 0; }"}`
+		var before, after runtime.MemStats
+		runtime.ReadMemStats(&before)
+		resp, b := postRun(t, ts, body)
+		runtime.ReadMemStats(&after)
+		if resp.StatusCode != http.StatusBadRequest {
+			t.Fatalf("%s: status = %d, want 400\n%s", m, resp.StatusCode, b)
+		}
+		if code := errorCode(t, b); code != "compile_error" {
+			t.Errorf("%s: code = %q, want compile_error", m, code)
+		}
+		if grew := after.TotalAlloc - before.TotalAlloc; grew > 8<<20 {
+			t.Errorf("%s: request allocated %d bytes, want under 8 MiB", m, grew)
+		}
 	}
 }
 

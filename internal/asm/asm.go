@@ -2,7 +2,6 @@ package asm
 
 import (
 	"encoding/binary"
-	"fmt"
 	"strconv"
 	"strings"
 
@@ -26,17 +25,19 @@ type Options struct {
 // mov, li, call, ret, ba, and b<cond> (beq, bne, blt, ...). Directives:
 // .org .equ .word .half .byte .ascii .asciz .space .align.
 func Assemble(src string, opts Options) (*Program, error) {
-	p := &parser{syms: make(map[string]uint32)}
-	if err := p.parseAll(src); err != nil {
+	a, err := dialect.Parse(src)
+	if err != nil {
 		return nil, err
 	}
 	if opts.Optimize {
-		p.optimize()
+		a.Items = optimize(a.Items)
 	}
-	if err := p.layout(); err != nil {
+	prog := &Program{}
+	if err := a.Link(&prog.Program); err != nil {
 		return nil, err
 	}
-	return p.emit()
+	prog.Slots = slotStats(a.Items)
+	return prog, nil
 }
 
 // MustAssemble is Assemble for known-good embedded sources; it panics on
@@ -49,25 +50,9 @@ func MustAssemble(src string, opts Options) *Program {
 	return prog
 }
 
-type itemKind uint8
-
-const (
-	itemInst itemKind = iota
-	itemWord
-	itemHalf
-	itemByte
-	itemAscii
-	itemSpace
-	itemAlign
-	itemOrg
-)
-
-type item struct {
-	kind   itemKind
-	line   int
-	labels []string
-
-	// Instruction fields (itemInst).
+// inst is one parsed RISC I instruction; its expressions resolve at
+// encode time.
+type inst struct {
 	op     isa.Opcode
 	scc    bool
 	rd     uint8
@@ -77,124 +62,83 @@ type item struct {
 	immE   syntax.Expr // imm13
 	longE  syntax.Expr // imm19 (LDHI) or target address (pc-relative)
 	pcRel  bool        // longE is an absolute target; encode longE - addr
-
-	// Data fields.
-	exprs []syntax.Expr
-	str   string
-	count uint32 // .space size / .align boundary / .org address
-
-	addr uint32
 }
 
-type parser struct {
-	items   []item
-	syms    map[string]uint32
-	pending []string // labels awaiting the next item
+type item = syntax.Item[inst]
+
+var dialect = &syntax.Dialect[inst]{
+	Name:   "asm",
+	Errorf: errf,
+	Inst:   parseInst,
+	Layout: func(*inst) (uint32, uint32) { return isa.InstBytes, 4 },
+	Encode: encodeItem,
 }
 
-func (p *parser) parseAll(src string) error {
-	for lineNo, line := range strings.Split(src, "\n") {
-		if err := p.parseLine(line, lineNo+1); err != nil {
-			return err
-		}
+// register parses a register name r0..r31.
+func register(c *syntax.Cursor) (uint8, error) {
+	if c.Done() || c.Toks[c.Pos].Kind != syntax.Ident {
+		return 0, errf(c.Line, "expected register")
 	}
-	return nil
-}
-
-func (p *parser) parseLine(line string, lineNo int) error {
-	toks, err := syntax.ScanLine(line, lineNo)
-	if err != nil {
-		return err
-	}
-	// Leading labels.
-	for len(toks) >= 2 && toks[0].Kind == syntax.Ident && toks[1].Kind == syntax.Punct && toks[1].Text == ":" {
-		name := toks[0].Text
-		p.pending = append(p.pending, name)
-		toks = toks[2:]
-	}
-	if len(toks) == 0 {
-		return nil
-	}
-	if toks[0].Kind != syntax.Ident {
-		return errf(lineNo, "expected mnemonic or directive, got %q", toks[0].Text)
-	}
-	head := strings.ToLower(toks[0].Text)
-	rest := toks[1:]
-	if strings.HasPrefix(head, ".") {
-		return p.parseDirective(head, rest, lineNo)
-	}
-	// Optional "." suffix selects condition-code setting.
-	scc := false
-	if len(rest) > 0 && rest[0].Text == "." {
-		scc = true
-		rest = rest[1:]
-	}
-	return p.parseInst(head, scc, rest, lineNo)
-}
-
-func (p *parser) add(it item) {
-	it.labels = p.pending
-	p.pending = nil
-	p.items = append(p.items, it)
-}
-
-// operand cursor over a token slice.
-type opCursor struct {
-	toks []syntax.Token
-	pos  int
-	line int
-}
-
-func (c *opCursor) done() bool { return c.pos >= len(c.toks) }
-
-func (c *opCursor) comma() error {
-	if c.pos < len(c.toks) && c.toks[c.pos].Kind == syntax.Punct && c.toks[c.pos].Text == "," {
-		c.pos++
-		return nil
-	}
-	return errf(c.line, "expected ','")
-}
-
-func (c *opCursor) end() error {
-	if !c.done() {
-		return errf(c.line, "unexpected trailing operands")
-	}
-	return nil
-}
-
-// reg parses a register name r0..r31.
-func (c *opCursor) reg() (uint8, error) {
-	if c.done() || c.toks[c.pos].Kind != syntax.Ident {
-		return 0, errf(c.line, "expected register")
-	}
-	r, ok := regNumber(c.toks[c.pos].Text)
+	r, ok := regNumber(c.Toks[c.Pos].Text)
 	if !ok {
-		return 0, errf(c.line, "expected register, got %q", c.toks[c.pos].Text)
+		return 0, errf(c.Line, "expected register, got %q", c.Toks[c.Pos].Text)
 	}
-	c.pos++
+	c.Pos++
 	return r, nil
 }
 
-// regOrExpr parses either a register or a constant expression.
-func (c *opCursor) regOrExpr() (reg uint8, isReg bool, e syntax.Expr, err error) {
-	if !c.done() && c.toks[c.pos].Kind == syntax.Ident {
-		if r, ok := regNumber(c.toks[c.pos].Text); ok {
-			c.pos++
-			return r, true, nil, nil
+// source is the destination of a short-source operand ("s2"): a
+// register into rs2, or a 13-bit immediate expression.
+type source struct{ in *inst }
+
+// operand parses one operand into dst: a register into *uint8, an
+// expression into *syntax.Expr, a jump condition into *isa.Cond, and a
+// register or expression into a source.
+func operand(c *syntax.Cursor, dst any) (err error) {
+	switch d := dst.(type) {
+	case *uint8:
+		*d, err = register(c)
+	case *syntax.Expr:
+		*d, err = c.Expr()
+	case *isa.Cond:
+		*d, err = parseCond(c)
+	case source:
+		if r, ok := regAt(c); ok {
+			c.Pos++
+			d.in.rs2 = r
+			return nil
 		}
+		d.in.hasImm = true
+		d.in.immE, err = c.Expr()
 	}
-	e, err = c.expr()
-	return 0, false, e, err
+	return err
 }
 
-func (c *opCursor) expr() (syntax.Expr, error) {
-	ep := &syntax.Parser{Toks: c.toks, Pos: c.pos, Line: c.line}
-	e, err := ep.Parse()
-	if err != nil {
-		return nil, err
+// operands parses a comma-separated operand list with operand, one
+// element of dst per operand, and checks that nothing follows it. Each
+// dialect keeps this loop so that operand is a direct call: through a
+// function value, the pointers in dst would move the instruction being
+// parsed to the heap.
+func operands(c *syntax.Cursor, dst ...any) error {
+	for i, d := range dst {
+		if i > 0 {
+			if err := c.Comma(); err != nil {
+				return err
+			}
+		}
+		if err := operand(c, d); err != nil {
+			return err
+		}
 	}
-	c.pos = ep.Pos
-	return e, nil
+	return c.End()
+}
+
+// regAt reports whether the next token names a register.
+func regAt(c *syntax.Cursor) (uint8, bool) {
+	if !c.Done() && c.Toks[c.Pos].Kind == syntax.Ident {
+		return regNumber(c.Toks[c.Pos].Text)
+	}
+	return 0, false
 }
 
 func regNumber(s string) (uint8, bool) {
@@ -215,551 +159,166 @@ const (
 	RetOffset = 8
 )
 
-func (p *parser) parseInst(name string, scc bool, toks []syntax.Token, line int) error {
-	c := &opCursor{toks: toks, line: line}
+func parseInst(a *syntax.Assembler[inst], name string, c *syntax.Cursor) error {
+	// Optional "." suffix selects condition-code setting.
+	scc := false
+	if !c.Done() && c.Toks[c.Pos].Text == "." {
+		scc = true
+		c.Pos++
+	}
 
 	// Pseudo-instructions first.
-	switch name {
-	case "nop":
-		if err := c.end(); err != nil {
-			return err
+	var in inst
+	var err error
+	_, rawCall := regAt(c)
+	cond, branch := branchCond(name)
+	switch {
+	case name == "nop":
+		in.op, err = isa.ADD, c.End()
+	case name == "mov":
+		in.op, in.scc = isa.ADD, scc
+		if err = operands(c, &in.rd, source{&in}); err == nil && !in.hasImm {
+			// mov rd, rs is add rd, rs, 0.
+			in.rs1, in.rs2, in.hasImm, in.immE = in.rs2, 0, true, syntax.Num{}
 		}
-		p.add(nopItem(line))
-		return nil
-	case "mov":
-		rd, err := c.reg()
-		if err != nil {
-			return err
-		}
-		if err := c.comma(); err != nil {
-			return err
-		}
-		reg, isReg, e, err := c.regOrExpr()
-		if err != nil {
-			return err
-		}
-		if err := c.end(); err != nil {
-			return err
-		}
-		if isReg {
-			p.add(item{kind: itemInst, line: line, op: isa.ADD, scc: scc, rd: rd, rs1: reg, hasImm: true, immE: syntax.Num{}})
-		} else {
-			p.add(item{kind: itemInst, line: line, op: isa.ADD, scc: scc, rd: rd, hasImm: true, immE: e})
-		}
-		return nil
-	case "li":
-		rd, err := c.reg()
-		if err != nil {
-			return err
-		}
-		if err := c.comma(); err != nil {
-			return err
-		}
-		e, err := c.expr()
-		if err != nil {
-			return err
-		}
-		if err := c.end(); err != nil {
-			return err
-		}
-		if v, ok := syntax.LiteralValue(e); ok && v >= isa.Imm13Min && v <= isa.Imm13Max {
-			p.add(item{kind: itemInst, line: line, op: isa.ADD, rd: rd, hasImm: true, immE: syntax.Num{V: v}})
-			return nil
-		}
-		p.add(item{kind: itemInst, line: line, op: isa.LDHI, rd: rd, longE: exprHi{e}})
-		p.items = append(p.items, item{kind: itemInst, line: line, op: isa.ADD, rd: rd, rs1: rd, hasImm: true, immE: exprLo{e}})
-		return nil
-	case "call":
+	case name == "li":
+		return parseLi(a, c)
+	case name == "call" && !rawCall:
 		// "call label" is the pseudo (CALLR through r25); the raw
 		// three-operand form "call rd, rs1, s2" starts with a register
-		// and falls through to the real opcode below.
-		if _, isRawForm := func() (uint8, bool) {
-			if len(toks) > 0 && toks[0].Kind == syntax.Ident {
-				return regNumber(toks[0].Text)
-			}
-			return 0, false
-		}(); !isRawForm {
-			e, err := c.expr()
-			if err != nil {
-				return err
-			}
-			if err := c.end(); err != nil {
-				return err
-			}
-			p.add(item{kind: itemInst, line: line, op: isa.CALLR, rd: RetReg, longE: e, pcRel: true})
-			return nil
-		}
-	case "ret":
-		if c.done() {
-			p.add(item{kind: itemInst, line: line, op: isa.RET, rd: RetReg, hasImm: true, immE: syntax.Num{V: RetOffset}})
-			return nil
-		}
-		// Explicit form: ret rd, s2.
-		rd, err := c.reg()
-		if err != nil {
-			return err
-		}
-		if err := c.comma(); err != nil {
-			return err
-		}
-		reg, isReg, e, err := c.regOrExpr()
-		if err != nil {
-			return err
-		}
-		if err := c.end(); err != nil {
-			return err
-		}
-		it := item{kind: itemInst, line: line, op: isa.RET, scc: scc, rd: rd}
-		if isReg {
-			it.rs2 = reg
-		} else {
-			it.hasImm, it.immE = true, e
-		}
-		p.add(it)
-		return nil
-	case "ba":
-		return p.branchPseudo(isa.CondAlways, c, line)
+		// and is the real opcode.
+		in.op, in.rd, in.pcRel = isa.CALLR, RetReg, true
+		err = operands(c, &in.longE)
+	case name == "ret" && c.Done():
+		in = inst{op: isa.RET, rd: RetReg, hasImm: true, immE: syntax.Num{V: RetOffset}}
+	case branch:
+		in.op, in.rd, in.pcRel = isa.JMPR, uint8(cond), true
+		err = operands(c, &in.longE)
+	default:
+		in.scc = scc
+		err = parseBase(&in, name, c)
 	}
-	if cond, ok := branchCond(name); ok {
-		return p.branchPseudo(cond, c, line)
-	}
-
-	op, ok := isa.ByName(name)
-	if !ok {
-		return errf(line, "unknown instruction %q", name)
-	}
-	info := op.Info()
-	it := item{kind: itemInst, line: line, op: op, scc: scc}
-
-	parseS2 := func() error {
-		reg, isReg, e, err := c.regOrExpr()
-		if err != nil {
-			return err
-		}
-		if isReg {
-			it.rs2 = reg
-		} else {
-			it.hasImm, it.immE = true, e
-		}
-		return nil
-	}
-
-	switch {
-	case info.Cond && info.Format == isa.FormatLong: // jmpr cond, target
-		cond, err := parseCond(c)
-		if err != nil {
-			return err
-		}
-		it.rd = uint8(cond)
-		if err := c.comma(); err != nil {
-			return err
-		}
-		e, err := c.expr()
-		if err != nil {
-			return err
-		}
-		it.longE, it.pcRel = e, true
-
-	case info.Cond: // jmp cond, rs1, s2
-		cond, err := parseCond(c)
-		if err != nil {
-			return err
-		}
-		it.rd = uint8(cond)
-		if err := c.comma(); err != nil {
-			return err
-		}
-		r, err := c.reg()
-		if err != nil {
-			return err
-		}
-		it.rs1 = r
-		if err := c.comma(); err != nil {
-			return err
-		}
-		if err := parseS2(); err != nil {
-			return err
-		}
-
-	case info.Format == isa.FormatLong: // ldhi/callr: rd, imm19
-		rd, err := c.reg()
-		if err != nil {
-			return err
-		}
-		it.rd = rd
-		if err := c.comma(); err != nil {
-			return err
-		}
-		e, err := c.expr()
-		if err != nil {
-			return err
-		}
-		it.longE = e
-		it.pcRel = op == isa.CALLR
-
-	case op == isa.RET || op == isa.RETINT: // rd, s2
-		rd, err := c.reg()
-		if err != nil {
-			return err
-		}
-		it.rd = rd
-		if err := c.comma(); err != nil {
-			return err
-		}
-		if err := parseS2(); err != nil {
-			return err
-		}
-
-	case op == isa.GETPSW || op == isa.GTLPC: // rd
-		rd, err := c.reg()
-		if err != nil {
-			return err
-		}
-		it.rd = rd
-
-	case op == isa.PUTPSW: // rs1, s2
-		r, err := c.reg()
-		if err != nil {
-			return err
-		}
-		it.rs1 = r
-		if err := c.comma(); err != nil {
-			return err
-		}
-		if err := parseS2(); err != nil {
-			return err
-		}
-
-	default: // rd, rs1, s2 (ALU, loads, stores, call, callint)
-		rd, err := c.reg()
-		if err != nil {
-			return err
-		}
-		it.rd = rd
-		if err := c.comma(); err != nil {
-			return err
-		}
-		r, err := c.reg()
-		if err != nil {
-			return err
-		}
-		it.rs1 = r
-		if err := c.comma(); err != nil {
-			return err
-		}
-		if err := parseS2(); err != nil {
-			return err
-		}
-	}
-	if err := c.end(); err != nil {
-		return err
-	}
-	p.add(it)
-	return nil
-}
-
-func (p *parser) branchPseudo(cond isa.Cond, c *opCursor, line int) error {
-	e, err := c.expr()
 	if err != nil {
 		return err
 	}
-	if err := c.end(); err != nil {
-		return err
-	}
-	p.add(item{kind: itemInst, line: line, op: isa.JMPR, rd: uint8(cond), longE: e, pcRel: true})
+	a.AddInst(c.Line, in)
 	return nil
 }
 
-// branchCond maps pseudo-branch mnemonics ("beq", "bne", ...) to jump
+// parseLi expands "li rd, expr": one ADD when the value is a literal
+// that fits 13 bits, else LDHI plus ADD.
+func parseLi(a *syntax.Assembler[inst], c *syntax.Cursor) error {
+	var rd uint8
+	var e syntax.Expr
+	if err := operands(c, &rd, &e); err != nil {
+		return err
+	}
+	if v, ok := syntax.LiteralValue(e); ok && v >= isa.Imm13Min && v <= isa.Imm13Max {
+		a.AddInst(c.Line, inst{op: isa.ADD, rd: rd, hasImm: true, immE: syntax.Num{V: v}})
+		return nil
+	}
+	a.AddInst(c.Line, inst{op: isa.LDHI, rd: rd, longE: exprHi{e}})
+	a.AddInst(c.Line, inst{op: isa.ADD, rd: rd, rs1: rd, hasImm: true, immE: exprLo{e}})
+	return nil
+}
+
+// parseBase parses a machine instruction in its format's operand order.
+func parseBase(in *inst, name string, c *syntax.Cursor) error {
+	op, ok := isa.ByName(name)
+	if !ok {
+		return errf(c.Line, "unknown instruction %q", name)
+	}
+	in.op = op
+	info := op.Info()
+	cond := (*isa.Cond)(&in.rd)
+	switch {
+	case info.Cond && info.Format == isa.FormatLong: // jmpr cond, target
+		in.pcRel = true
+		return operands(c, cond, &in.longE)
+	case info.Cond: // jmp cond, rs1, s2
+		return operands(c, cond, &in.rs1, source{in})
+	case info.Format == isa.FormatLong: // ldhi/callr: rd, imm19
+		in.pcRel = op == isa.CALLR
+		return operands(c, &in.rd, &in.longE)
+	case op == isa.RET || op == isa.RETINT: // rd, s2
+		return operands(c, &in.rd, source{in})
+	case op == isa.GETPSW || op == isa.GTLPC: // rd
+		return operands(c, &in.rd)
+	case op == isa.PUTPSW: // rs1, s2
+		return operands(c, &in.rs1, source{in})
+	}
+	// rd, rs1, s2 (ALU, loads, stores, call, callint)
+	return operands(c, &in.rd, &in.rs1, source{in})
+}
+
+// branchCond maps pseudo-branch mnemonics ("ba", "beq", "bne", ...) to jump
 // conditions.
 func branchCond(name string) (isa.Cond, bool) {
+	if name == "ba" {
+		return isa.CondAlways, true
+	}
 	if !strings.HasPrefix(name, "b") || len(name) < 2 {
 		return 0, false
 	}
 	return isa.CondByName(name[1:])
 }
 
-func parseCond(c *opCursor) (isa.Cond, error) {
-	if c.done() || c.toks[c.pos].Kind != syntax.Ident {
-		return 0, errf(c.line, "expected jump condition")
+func parseCond(c *syntax.Cursor) (isa.Cond, error) {
+	if c.Done() || c.Toks[c.Pos].Kind != syntax.Ident {
+		return 0, errf(c.Line, "expected jump condition")
 	}
-	cond, ok := isa.CondByName(strings.ToLower(c.toks[c.pos].Text))
+	cond, ok := isa.CondByName(strings.ToLower(c.Toks[c.Pos].Text))
 	if !ok {
-		return 0, errf(c.line, "unknown jump condition %q", c.toks[c.pos].Text)
+		return 0, errf(c.Line, "unknown jump condition %q", c.Toks[c.Pos].Text)
 	}
-	c.pos++
+	c.Pos++
 	return cond, nil
 }
 
-func nopItem(line int) item {
-	return item{kind: itemInst, line: line, op: isa.ADD}
-}
-
 func isNop(it item) bool {
-	return it.kind == itemInst && it.op == isa.ADD && !it.scc &&
-		it.rd == 0 && it.rs1 == 0 && !it.hasImm && it.rs2 == 0
+	in := it.Inst
+	return it.Kind == syntax.ItemInst && in.op == isa.ADD && !in.scc &&
+		in.rd == 0 && in.rs1 == 0 && !in.hasImm && in.rs2 == 0
 }
 
-func (p *parser) parseDirective(name string, toks []syntax.Token, line int) error {
-	c := &opCursor{toks: toks, line: line}
-	switch name {
-	case ".equ":
-		if c.done() || c.toks[c.pos].Kind != syntax.Ident {
-			return errf(line, ".equ needs a name")
-		}
-		sym := c.toks[c.pos].Text
-		c.pos++
-		if err := c.comma(); err != nil {
-			return err
-		}
-		e, err := c.expr()
-		if err != nil {
-			return err
-		}
-		if err := c.end(); err != nil {
-			return err
-		}
-		v, err := e.Eval(p.syms)
-		if err != nil {
-			return errf(line, ".equ value must be computable here: %v", err)
-		}
-		if _, dup := p.syms[sym]; dup {
-			return errf(line, "symbol %q redefined", sym)
-		}
-		p.syms[sym] = uint32(v)
-		return nil
-
-	case ".org", ".space", ".align":
-		e, err := c.expr()
-		if err != nil {
-			return err
-		}
-		if err := c.end(); err != nil {
-			return err
-		}
-		v, err := e.Eval(p.syms)
-		if err != nil {
-			return errf(line, "%s operand must be computable here: %v", name, err)
-		}
-		if v < 0 {
-			return errf(line, "%s operand must be non-negative", name)
-		}
-		kind := map[string]itemKind{".org": itemOrg, ".space": itemSpace, ".align": itemAlign}[name]
-		if kind == itemAlign && (v == 0 || v&(v-1) != 0) {
-			return errf(line, ".align needs a power of two")
-		}
-		p.add(item{kind: kind, line: line, count: uint32(v)})
-		return nil
-
-	case ".word", ".half", ".byte":
-		var exprs []syntax.Expr
-		for {
-			e, err := c.expr()
-			if err != nil {
-				return err
-			}
-			exprs = append(exprs, e)
-			if c.done() {
-				break
-			}
-			if err := c.comma(); err != nil {
-				return err
-			}
-		}
-		kind := map[string]itemKind{".word": itemWord, ".half": itemHalf, ".byte": itemByte}[name]
-		p.add(item{kind: kind, line: line, exprs: exprs})
-		return nil
-
-	case ".ascii", ".asciz":
-		if c.done() || c.toks[c.pos].Kind != syntax.String {
-			return errf(line, "%s needs a string", name)
-		}
-		s := c.toks[c.pos].Text
-		c.pos++
-		if err := c.end(); err != nil {
-			return err
-		}
-		if name == ".asciz" {
-			s += "\x00"
-		}
-		p.add(item{kind: itemAscii, line: line, str: s})
-		return nil
+// encodeItem appends an instruction's big-endian word.
+func encodeItem(out []byte, it *item, syms map[string]uint32) ([]byte, error) {
+	in, err := encode(it, syms)
+	if err != nil {
+		return nil, err
 	}
-	return errf(line, "unknown directive %q", name)
-}
-
-func (it *item) size() uint32 {
-	switch it.kind {
-	case itemInst:
-		return isa.InstBytes
-	case itemWord:
-		return 4 * uint32(len(it.exprs))
-	case itemHalf:
-		return 2 * uint32(len(it.exprs))
-	case itemByte:
-		return uint32(len(it.exprs))
-	case itemAscii:
-		return uint32(len(it.str))
-	case itemSpace:
-		return it.count
-	default:
-		return 0 // org/align handled in layout
+	w, err := in.Encode()
+	if err != nil {
+		return nil, errf(it.Line, "%v", err)
 	}
-}
-
-func (it *item) alignment() uint32 {
-	switch it.kind {
-	case itemInst, itemWord:
-		return 4
-	case itemHalf:
-		return 2
-	default:
-		return 1
-	}
-}
-
-// layout assigns addresses and defines labels.
-func (p *parser) layout() error {
-	lc := uint32(0)
-	for i := range p.items {
-		it := &p.items[i]
-		switch it.kind {
-		case itemOrg:
-			if it.count < lc {
-				return errf(it.line, ".org %#x moves backwards from %#x", it.count, lc)
-			}
-			lc = it.count
-		case itemAlign:
-			lc = (lc + it.count - 1) &^ (it.count - 1)
-		}
-		if a := it.alignment(); lc%a != 0 {
-			lc = (lc + a - 1) &^ (a - 1)
-		}
-		it.addr = lc
-		for _, l := range it.labels {
-			if _, dup := p.syms[l]; dup {
-				return errf(it.line, "symbol %q redefined", l)
-			}
-			p.syms[l] = lc
-		}
-		lc += it.size()
-	}
-	for _, l := range p.pending {
-		if _, dup := p.syms[l]; dup {
-			return fmt.Errorf("asm: symbol %q redefined", l)
-		}
-		p.syms[l] = lc
-	}
-	return nil
-}
-
-// emit encodes every item into segments.
-func (p *parser) emit() (*Program, error) {
-	prog := &Program{Symbols: p.syms}
-	var cur *Segment
-	ensure := func(addr uint32) *Segment {
-		if cur != nil && cur.Addr+uint32(len(cur.Data)) == addr {
-			return cur
-		}
-		prog.Segments = append(prog.Segments, Segment{Addr: addr})
-		cur = &prog.Segments[len(prog.Segments)-1]
-		return cur
-	}
-	put := func(addr uint32, b []byte) {
-		s := ensure(addr)
-		s.Data = append(s.Data, b...)
-	}
-
-	for i := range p.items {
-		it := &p.items[i]
-		switch it.kind {
-		case itemInst:
-			in, err := p.encode(it)
-			if err != nil {
-				return nil, err
-			}
-			w, err := in.Encode()
-			if err != nil {
-				return nil, errf(it.line, "%v", err)
-			}
-			var b [4]byte
-			binary.BigEndian.PutUint32(b[:], w)
-			put(it.addr, b[:])
-			prog.TextSize += 4
-		case itemWord, itemHalf, itemByte:
-			sz := map[itemKind]int{itemWord: 4, itemHalf: 2, itemByte: 1}[it.kind]
-			for j, e := range it.exprs {
-				v, err := e.Eval(p.syms)
-				if err != nil {
-					return nil, errf(it.line, "%v", err)
-				}
-				b := make([]byte, sz)
-				switch sz {
-				case 4:
-					binary.BigEndian.PutUint32(b, uint32(v))
-				case 2:
-					binary.BigEndian.PutUint16(b, uint16(v))
-				default:
-					b[0] = byte(v)
-				}
-				put(it.addr+uint32(j*sz), b)
-			}
-			prog.DataSize += sz * len(it.exprs)
-		case itemAscii:
-			put(it.addr, []byte(it.str))
-			prog.DataSize += len(it.str)
-		case itemSpace:
-			if it.count > 0 {
-				put(it.addr, make([]byte, it.count))
-				prog.DataSize += int(it.count)
-			}
-		}
-	}
-
-	p.slotStats(prog)
-	prog.Entry = p.entry()
-	return prog, nil
-}
-
-func (p *parser) entry() uint32 {
-	if v, ok := p.syms["start"]; ok {
-		return v
-	}
-	if v, ok := p.syms["main"]; ok {
-		return v
-	}
-	for _, it := range p.items {
-		if it.kind == itemInst {
-			return it.addr
-		}
-	}
-	return 0
+	return binary.BigEndian.AppendUint32(out, w), nil
 }
 
 // encode turns an item into an isa.Inst, resolving expressions.
-func (p *parser) encode(it *item) (isa.Inst, error) {
-	in := isa.Inst{Op: it.op, SCC: it.scc, Rd: it.rd, Rs1: it.rs1, Rs2: it.rs2}
-	if it.hasImm {
-		v, err := it.immE.Eval(p.syms)
+func encode(it *item, syms map[string]uint32) (isa.Inst, error) {
+	src := &it.Inst
+	in := isa.Inst{Op: src.op, SCC: src.scc, Rd: src.rd, Rs1: src.rs1, Rs2: src.rs2}
+	if src.hasImm {
+		v, err := src.immE.Eval(syms)
 		if err != nil {
-			return in, errf(it.line, "%v", err)
+			return in, errf(it.Line, "%v", err)
 		}
 		if v < isa.Imm13Min || v > isa.Imm13Max {
-			return in, errf(it.line, "immediate %d does not fit in 13 bits", v)
+			return in, errf(it.Line, "immediate %d does not fit in 13 bits", v)
 		}
 		in.Imm = true
 		in.Imm13 = int32(v)
 	}
-	if it.longE != nil {
-		v, err := it.longE.Eval(p.syms)
+	if src.longE != nil {
+		v, err := src.longE.Eval(syms)
 		if err != nil {
-			return in, errf(it.line, "%v", err)
+			return in, errf(it.Line, "%v", err)
 		}
-		if it.pcRel {
-			v -= int64(it.addr)
+		if src.pcRel {
+			v -= int64(it.Addr)
 		}
 		if v < isa.Imm19Min || v > isa.Imm19Max {
-			return in, errf(it.line, "displacement %d does not fit in 19 bits", v)
+			return in, errf(it.Line, "displacement %d does not fit in 19 bits", v)
 		}
 		in.Imm19 = int32(v)
 	}
@@ -768,16 +327,18 @@ func (p *parser) encode(it *item) (isa.Inst, error) {
 
 // slotStats counts, after optimization, how each control transfer's delay
 // slot ended up: useful instruction or NOP.
-func (p *parser) slotStats(prog *Program) {
-	for i, it := range p.items {
-		if it.kind != itemInst || it.op.Info().Class != isa.ClassCtrl {
+func slotStats(items []item) SlotStats {
+	var s SlotStats
+	for i, it := range items {
+		if it.Kind != syntax.ItemInst || it.Inst.op.Info().Class != isa.ClassCtrl {
 			continue
 		}
-		prog.Slots.Transfers++
-		if i+1 < len(p.items) && isNop(p.items[i+1]) {
-			prog.Slots.Nops++
+		s.Transfers++
+		if i+1 < len(items) && isNop(items[i+1]) {
+			s.Nops++
 		} else {
-			prog.Slots.Filled++
+			s.Filled++
 		}
 	}
+	return s
 }

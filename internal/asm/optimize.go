@@ -14,18 +14,18 @@ import (
 // Only JMP/JMPR slots are filled. CALL/RET slots are left alone because
 // the register window changes with the transfer, so an instruction moved
 // into the slot would address different physical registers.
-func (p *parser) optimize() {
-	for i := 1; i+1 < len(p.items); i++ {
-		br := &p.items[i]
-		if br.kind != itemInst || (br.op != isa.JMP && br.op != isa.JMPR) {
+func optimize(items []item) []item {
+	for i := 1; i+1 < len(items); i++ {
+		br := &items[i]
+		if br.Kind != syntax.ItemInst || (br.Inst.op != isa.JMP && br.Inst.op != isa.JMPR) {
 			continue
 		}
-		slot := &p.items[i+1]
-		cand := &p.items[i-1]
-		if !isNop(*slot) || len(slot.labels) != 0 {
+		slot := &items[i+1]
+		cand := &items[i-1]
+		if !isNop(*slot) || len(slot.Labels) != 0 {
 			continue // slot already useful, or a jump target
 		}
-		if len(br.labels) != 0 || len(cand.labels) != 0 {
+		if len(br.Labels) != 0 || len(cand.Labels) != 0 {
 			// Moving the candidate across a label would change what
 			// executes on paths that enter at the label.
 			continue
@@ -34,14 +34,15 @@ func (p *parser) optimize() {
 			continue
 		}
 		// The candidate must not itself sit in another transfer's slot.
-		if i >= 2 && inSlotOf(p.items[i-2]) {
+		if i >= 2 && inSlotOf(items[i-2]) {
 			continue
 		}
 		// Swap candidate and branch; the old NOP disappears.
-		p.items[i-1], p.items[i] = p.items[i], p.items[i-1]
-		p.items = append(p.items[:i+1], p.items[i+2:]...)
+		items[i-1], items[i] = items[i], items[i-1]
+		items = append(items[:i+1], items[i+2:]...)
 	}
-	p.fillFromTargets()
+	fillFromTargets(items)
+	return items
 }
 
 // fillFromTargets handles slots the predecessor pass could not fill: for
@@ -51,25 +52,25 @@ func (p *parser) optimize() {
 // this is always safe. (The paper's compiler also filled conditional
 // slots this way, accepting a wasted instruction on the fall-through
 // path; this implementation stays strictly semantics-preserving.)
-func (p *parser) fillFromTargets() {
+func fillFromTargets(items []item) {
 	// Label addresses are not assigned yet (layout runs later), so
 	// targets resolve through the attached label names.
-	labelItem := make(map[string]int, len(p.items))
-	for i, it := range p.items {
-		for _, l := range it.labels {
+	labelItem := make(map[string]int, len(items))
+	for i, it := range items {
+		for _, l := range it.Labels {
 			labelItem[l] = i
 		}
 	}
-	for i := 0; i+1 < len(p.items); i++ {
-		br := &p.items[i]
-		if br.kind != itemInst || br.op != isa.JMPR || isa.Cond(br.rd&0x0f) != isa.CondAlways {
+	for i := 0; i+1 < len(items); i++ {
+		br := &items[i]
+		if br.Kind != syntax.ItemInst || br.Inst.op != isa.JMPR || isa.Cond(br.Inst.rd&0x0f) != isa.CondAlways {
 			continue
 		}
-		slot := &p.items[i+1]
-		if !isNop(*slot) || len(slot.labels) != 0 {
+		slot := &items[i+1]
+		if !isNop(*slot) || len(slot.Labels) != 0 {
 			continue
 		}
-		sym, ok := br.longE.(syntax.Sym)
+		sym, ok := br.Inst.longE.(syntax.Sym)
 		if !ok {
 			continue
 		}
@@ -77,22 +78,22 @@ func (p *parser) fillFromTargets() {
 		if !ok {
 			continue
 		}
-		target := p.items[ti]
-		if target.kind != itemInst || target.op.Info().Class == isa.ClassCtrl {
+		target := items[ti]
+		if target.Kind != syntax.ItemInst || target.Inst.op.Info().Class == isa.ClassCtrl {
 			continue
 		}
 		// Copy the target instruction into the slot and jump past it.
 		copied := target
-		copied.labels = nil
-		p.items[i+1] = copied
-		br.longE = syntax.Binary{Op: "+", X: sym, Y: syntax.Num{V: isa.InstBytes}, Line: br.line}
+		copied.Labels = nil
+		items[i+1] = copied
+		br.Inst.longE = syntax.Binary{Op: "+", X: sym, Y: syntax.Num{V: isa.InstBytes}, Line: br.Line}
 	}
 }
 
 // inSlotOf reports whether the item preceding a candidate is a control
 // transfer, which would make the candidate that transfer's delay slot.
 func inSlotOf(prev item) bool {
-	return prev.kind == itemInst && prev.op.Info().Class == isa.ClassCtrl
+	return prev.Kind == syntax.ItemInst && prev.Inst.op.Info().Class == isa.ClassCtrl
 }
 
 // movable reports whether cand may execute after br rather than before
@@ -100,10 +101,11 @@ func inSlotOf(prev item) bool {
 // path, ordinary data flow is preserved automatically; the only hazards
 // are the branch's own inputs: its condition codes and its target
 // registers.
-func movable(cand, br item) bool {
-	if cand.kind != itemInst {
+func movable(candItem, brItem item) bool {
+	if candItem.Kind != syntax.ItemInst {
 		return false
 	}
+	cand, br := candItem.Inst, brItem.Inst
 	info := cand.op.Info()
 	if info.Class == isa.ClassCtrl {
 		return false // never move a transfer into a slot
@@ -128,7 +130,7 @@ func movable(cand, br item) bool {
 // candWrites reports whether the candidate writes a visible register
 // (returns 0 for stores and PSW writes, 1 otherwise). Writes to r0 are
 // architectural no-ops but are conservatively treated as writes.
-func candWrites(cand item) int {
+func candWrites(cand inst) int {
 	if cand.op.Info().Store || cand.op == isa.PUTPSW {
 		return 0
 	}

@@ -1,21 +1,19 @@
-// Package asm implements a two-pass assembler for the RISC I instruction
-// set, including the delayed-jump optimizer the paper's compiler used to
-// fill branch shadow slots, and static statistics (code size, delay-slot
-// fill rate) for the evaluation tables.
+// Package asm is the RISC I dialect of the shared two-pass assembler
+// (internal/syntax): its instructions and pseudo-ops, the delayed-jump
+// optimizer the paper's compiler used to fill branch shadow slots, and
+// static statistics (code size, delay-slot fill rate) for the
+// evaluation tables.
 package asm
 
 import (
 	"fmt"
-	"sort"
 
-	"risc1/internal/mem"
+	"risc1/internal/syntax"
 )
 
-// Segment is a contiguous block of assembled bytes.
-type Segment struct {
-	Addr uint32
-	Data []byte
-}
+// Segment is a contiguous block of assembled bytes, the shared
+// syntax.Segment under the name this package's callers use.
+type Segment = syntax.Segment
 
 // SlotStats reports what the delayed-jump optimizer did — the static side
 // of the paper's branch-optimization experiment.
@@ -33,45 +31,11 @@ func (s SlotStats) FillRate() float64 {
 	return float64(s.Filled) / float64(s.Transfers)
 }
 
-// Program is the output of the assembler.
+// Program is the output of the assembler: the shared image and symbol
+// table, plus the delay-slot statistics.
 type Program struct {
-	Segments []Segment
-	Symbols  map[string]uint32
-	Entry    uint32 // address of "main" if defined, else of "start", else first instruction
-	TextSize int    // bytes of instructions (static code size for the tables)
-	DataSize int    // bytes of data directives
-	Slots    SlotStats
-}
-
-// LoadInto copies all segments into memory.
-func (p *Program) LoadInto(m *mem.Memory) error {
-	for _, s := range p.Segments {
-		if err := m.WriteBytes(s.Addr, s.Data); err != nil {
-			return fmt.Errorf("asm: loading segment at %#08x: %w", s.Addr, err)
-		}
-	}
-	return nil
-}
-
-// Symbol looks up a label or .equ value.
-func (p *Program) Symbol(name string) (uint32, bool) {
-	v, ok := p.Symbols[name]
-	return v, ok
-}
-
-// SortedSymbols returns symbol names in address order, for listings.
-func (p *Program) SortedSymbols() []string {
-	names := make([]string, 0, len(p.Symbols))
-	for n := range p.Symbols {
-		names = append(names, n)
-	}
-	sort.Slice(names, func(i, j int) bool {
-		if p.Symbols[names[i]] != p.Symbols[names[j]] {
-			return p.Symbols[names[i]] < p.Symbols[names[j]]
-		}
-		return names[i] < names[j]
-	})
-	return names
+	syntax.Program
+	Slots SlotStats
 }
 
 // Error is an assembly diagnostic with source position.

@@ -66,7 +66,7 @@ func (c Config) withDefaults() Config {
 		c.Windows = regfile.DefaultConfig.Windows
 	}
 	if c.MemSize == 0 {
-		c.MemSize = 1 << 20
+		c.MemSize = mem.DefaultSize
 	}
 	if c.SaveStackTop == 0 {
 		c.SaveStackTop = uint32(c.MemSize)

@@ -32,23 +32,6 @@ func (s ciscSnapshot) MemPages() int        { return s.s.MemPages() }
 func (s ciscSnapshot) Instructions() uint64 { return s.s.Instructions() }
 func (s ciscSnapshot) Release()             { s.s.Release() }
 
-// ciscProgram adapts *vax.Program.
-type ciscProgram struct{ p *vax.Program }
-
-func (p ciscProgram) unwrap() any                    { return p.p }
-func (p ciscProgram) LoadInto(m *mem.Memory) error   { return p.p.LoadInto(m) }
-func (p ciscProgram) Symbol(n string) (uint32, bool) { return p.p.Symbol(n) }
-func (p ciscProgram) SortedSymbols() []string        { return p.p.SortedSymbols() }
-func (p ciscProgram) Entry() uint32                  { return p.p.Entry }
-func (p ciscProgram) TextBytes() int                 { return p.p.TextSize }
-func (p ciscProgram) Footprint() int64 {
-	n := int64(512)
-	for _, seg := range p.p.Segments {
-		n += int64(len(seg.Data))
-	}
-	return n + int64(len(p.p.Symbols))*32
-}
-
 func ciscConfig(o Options) vax.Config {
 	return vax.Config{MemSize: o.MemSize, MaxInstructions: o.Fuel}
 }
@@ -64,7 +47,7 @@ func init() {
 			if err != nil {
 				return nil, text, nil, err
 			}
-			return ciscProgram{prog}, text, passStats(stats), nil
+			return program{&prog.Program, prog}, text, passStats(stats), nil
 		},
 		New: func(o Options) Machine { return ciscMachine{vax.New(ciscConfig(o))} },
 		Normalize: func(o Options) Options {

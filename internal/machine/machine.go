@@ -18,6 +18,7 @@ import (
 	"risc1/internal/cc/opt"
 	"risc1/internal/mem"
 	"risc1/internal/obs"
+	"risc1/internal/syntax"
 )
 
 // Machine is one paused or running simulator with its memory. It is the
@@ -106,6 +107,28 @@ type Program interface {
 	// Footprint approximates the program's host memory cost for the
 	// compiled-program cache's byte budget.
 	Footprint() int64
+}
+
+// program adapts an assembler's output to Program. Every backend's
+// assembler embeds the shared syntax.Program; orig is the backend's own
+// *Program, which Unwrap returns.
+type program struct {
+	p    *syntax.Program
+	orig any
+}
+
+func (p program) unwrap() any                    { return p.orig }
+func (p program) LoadInto(m *mem.Memory) error   { return p.p.LoadInto(m) }
+func (p program) Symbol(n string) (uint32, bool) { return p.p.Symbol(n) }
+func (p program) SortedSymbols() []string        { return p.p.SortedSymbols() }
+func (p program) Entry() uint32                  { return p.p.Entry }
+func (p program) TextBytes() int                 { return p.p.TextSize }
+func (p program) Footprint() int64 {
+	n := int64(512)
+	for _, seg := range p.p.Segments {
+		n += int64(len(seg.Data))
+	}
+	return n + int64(len(p.p.Symbols))*32
 }
 
 // Options is every machine-facing knob a compile-and-run request can

@@ -1,7 +1,6 @@
 package machine
 
 import (
-	"risc1/internal/asm"
 	"risc1/internal/cc"
 	"risc1/internal/cpu"
 	"risc1/internal/mem"
@@ -38,23 +37,6 @@ func (s riscSnapshot) MemPages() int        { return s.s.MemPages() }
 func (s riscSnapshot) Instructions() uint64 { return s.s.Instructions() }
 func (s riscSnapshot) Release()             { s.s.Release() }
 
-// riscProgram adapts *asm.Program.
-type riscProgram struct{ p *asm.Program }
-
-func (p riscProgram) unwrap() any                    { return p.p }
-func (p riscProgram) LoadInto(m *mem.Memory) error   { return p.p.LoadInto(m) }
-func (p riscProgram) Symbol(n string) (uint32, bool) { return p.p.Symbol(n) }
-func (p riscProgram) SortedSymbols() []string        { return p.p.SortedSymbols() }
-func (p riscProgram) Entry() uint32                  { return p.p.Entry }
-func (p riscProgram) TextBytes() int                 { return p.p.TextSize }
-func (p riscProgram) Footprint() int64 {
-	n := int64(512)
-	for _, seg := range p.p.Segments {
-		n += int64(len(seg.Data))
-	}
-	return n + int64(len(p.p.Symbols))*32
-}
-
 func riscConfig(o Options) cpu.Config {
 	return cpu.Config{
 		Windows:         o.Windows,
@@ -76,7 +58,7 @@ func init() {
 			if err != nil {
 				return nil, text, nil, err
 			}
-			return riscProgram{prog}, text, passStats(stats), nil
+			return program{&prog.Program, prog}, text, passStats(stats), nil
 		},
 		New: func(o Options) Machine { return riscMachine{cpu.New(riscConfig(o))} },
 		// Every Options field is meaningful on RISC I.

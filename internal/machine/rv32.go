@@ -33,23 +33,6 @@ func (s rv32Snapshot) MemPages() int        { return s.s.MemPages() }
 func (s rv32Snapshot) Instructions() uint64 { return s.s.Instructions() }
 func (s rv32Snapshot) Release()             { s.s.Release() }
 
-// rv32Program adapts *rv32.Program.
-type rv32Program struct{ p *rv32.Program }
-
-func (p rv32Program) unwrap() any                    { return p.p }
-func (p rv32Program) LoadInto(m *mem.Memory) error   { return p.p.LoadInto(m) }
-func (p rv32Program) Symbol(n string) (uint32, bool) { return p.p.Symbol(n) }
-func (p rv32Program) SortedSymbols() []string        { return p.p.SortedSymbols() }
-func (p rv32Program) Entry() uint32                  { return p.p.Entry }
-func (p rv32Program) TextBytes() int                 { return p.p.TextSize }
-func (p rv32Program) Footprint() int64 {
-	n := int64(512)
-	for _, seg := range p.p.Segments {
-		n += int64(len(seg.Data))
-	}
-	return n + int64(len(p.p.Symbols))*32
-}
-
 func rv32Config(o Options) rv32.Config {
 	return rv32.Config{MemSize: o.MemSize, MaxInstructions: o.Fuel}
 }
@@ -65,7 +48,7 @@ func init() {
 			if err != nil {
 				return nil, text, nil, err
 			}
-			return rv32Program{prog}, text, passStats(stats), nil
+			return program{&prog.Program, prog}, text, passStats(stats), nil
 		},
 		New: func(o Options) Machine { return rv32Machine{rv32.New(rv32Config(o))} },
 		Normalize: func(o Options) Options {

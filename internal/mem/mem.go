@@ -125,6 +125,10 @@ func (m *Memory) notify(addr, size uint32) {
 	}
 }
 
+// DefaultSize is the memory size every machine uses unless configured
+// otherwise, and the largest image the assemblers lay out.
+const DefaultSize = 1 << 20
+
 // New allocates size bytes of zeroed memory.
 func New(size int) *Memory {
 	if size <= 0 {

@@ -2,59 +2,13 @@ package rv32
 
 import (
 	"encoding/binary"
-	"fmt"
-	"sort"
 	"strings"
 
-	"risc1/internal/mem"
 	"risc1/internal/syntax"
 )
 
-// Segment is a contiguous block of assembled bytes.
-type Segment struct {
-	Addr uint32
-	Data []byte
-}
-
 // Program is the output of the rv32 assembler.
-type Program struct {
-	Segments []Segment
-	Symbols  map[string]uint32
-	Entry    uint32 // "start" if defined, else "main", else first instruction
-	TextSize int    // bytes of instructions (static code size)
-	DataSize int
-}
-
-// LoadInto copies all segments into memory.
-func (p *Program) LoadInto(m *mem.Memory) error {
-	for _, s := range p.Segments {
-		if err := m.WriteBytes(s.Addr, s.Data); err != nil {
-			return fmt.Errorf("rv32: loading segment at %#08x: %w", s.Addr, err)
-		}
-	}
-	return nil
-}
-
-// Symbol looks up a label or .equ value.
-func (p *Program) Symbol(name string) (uint32, bool) {
-	v, ok := p.Symbols[name]
-	return v, ok
-}
-
-// SortedSymbols returns symbol names in address order.
-func (p *Program) SortedSymbols() []string {
-	names := make([]string, 0, len(p.Symbols))
-	for n := range p.Symbols {
-		names = append(names, n)
-	}
-	sort.Slice(names, func(i, j int) bool {
-		if p.Symbols[names[i]] != p.Symbols[names[j]] {
-			return p.Symbols[names[i]] < p.Symbols[names[j]]
-		}
-		return names[i] < names[j]
-	})
-	return names
-}
+type Program struct{ syntax.Program }
 
 func errf(line int, format string, args ...any) error {
 	return syntax.Errorf(line, "rv32: "+format, args...)
@@ -69,16 +23,15 @@ func errf(line int, format string, args ...any) error {
 // ble and bgt expand to base instructions at parse time. Data
 // directives match the other assemblers'.
 func Assemble(src string) (*Program, error) {
-	p := &rparser{syms: make(map[string]uint32)}
-	for lineNo, line := range strings.Split(src, "\n") {
-		if err := p.parseLine(line, lineNo+1); err != nil {
-			return nil, err
-		}
-	}
-	if err := p.layout(); err != nil {
+	a, err := dialect.Parse(src)
+	if err != nil {
 		return nil, err
 	}
-	return p.emit()
+	prog := &Program{}
+	if err := a.Link(&prog.Program); err != nil {
+		return nil, err
+	}
+	return prog, nil
 }
 
 // MustAssemble panics on error; for known-good embedded sources.
@@ -90,700 +43,248 @@ func MustAssemble(src string) *Program {
 	return prog
 }
 
-type rkind uint8
-
-const (
-	rInst rkind = iota
-	rLi
-	rWord
-	rHalf
-	rByte
-	rAscii
-	rSpace
-	rAlign
-	rOrg
-)
-
-type ritem struct {
-	kind   rkind
-	line   int
-	labels []string
-
+// inst is one parsed instruction. li and la take one word when the
+// value is a literal that fits an addi immediate, else two (lui+addi);
+// the choice is made at parse time so layout stays single-pass.
+type inst struct {
 	op           Op
 	rd, rs1, rs2 uint8
 	imm          syntax.Expr // immediate / offset / branch+jump target / li value
+	li           bool        // li/la pseudo-instruction
 	wide         bool        // li: lui+addi form (8 bytes)
-
-	exprs []syntax.Expr
-	str   string
-	count uint32
-	addr  uint32
 }
 
-type rparser struct {
-	items   []ritem
-	syms    map[string]uint32
-	pending []string
+type item = syntax.Item[inst]
+
+var dialect = &syntax.Dialect[inst]{
+	Name:   "rv32",
+	Errorf: errf,
+	Inst:   parseInst,
+	Layout: func(in *inst) (uint32, uint32) {
+		if in.wide {
+			return 8, 4
+		}
+		return 4, 4
+	},
+	Encode: encodeItem,
 }
 
-func (p *rparser) add(it ritem) {
-	it.labels = p.pending
-	p.pending = nil
-	p.items = append(p.items, it)
-}
-
-func (p *rparser) parseLine(line string, lineNo int) error {
-	toks, err := syntax.ScanLine(line, lineNo)
-	if err != nil {
-		return err
-	}
-	for len(toks) >= 2 && toks[0].Kind == syntax.Ident && toks[1].Kind == syntax.Punct && toks[1].Text == ":" {
-		p.pending = append(p.pending, toks[0].Text)
-		toks = toks[2:]
-	}
-	if len(toks) == 0 {
-		return nil
-	}
-	if toks[0].Kind != syntax.Ident {
-		return errf(lineNo, "expected mnemonic or directive, got %q", toks[0].Text)
-	}
-	head := strings.ToLower(toks[0].Text)
-	rest := toks[1:]
-	if strings.HasPrefix(head, ".") {
-		return p.parseDirective(head, rest, lineNo)
-	}
-	return p.parseInst(head, rest, lineNo)
-}
-
-type cursor struct {
-	toks []syntax.Token
-	pos  int
-	line int
-}
-
-func (c *cursor) done() bool { return c.pos >= len(c.toks) }
-
-func (c *cursor) punct(s string) bool {
-	if c.pos < len(c.toks) && c.toks[c.pos].Kind == syntax.Punct && c.toks[c.pos].Text == s {
-		c.pos++
-		return true
-	}
-	return false
-}
-
-func (c *cursor) comma() error {
-	if c.punct(",") {
-		return nil
-	}
-	return errf(c.line, "expected ','")
-}
-
-func (c *cursor) end() error {
-	if !c.done() {
-		return errf(c.line, "unexpected trailing operands")
-	}
-	return nil
-}
-
-func (c *cursor) expr() (syntax.Expr, error) {
-	ep := &syntax.Parser{Toks: c.toks, Pos: c.pos, Line: c.line}
-	e, err := ep.Parse()
-	if err != nil {
-		return nil, err
-	}
-	c.pos = ep.Pos
-	return e, nil
-}
-
-// reg consumes a register name.
-func (c *cursor) reg() (uint8, error) {
-	if c.pos < len(c.toks) && c.toks[c.pos].Kind == syntax.Ident {
-		if r, ok := regByName(strings.ToLower(c.toks[c.pos].Text)); ok {
-			c.pos++
+// register consumes a register name.
+func register(c *syntax.Cursor) (uint8, error) {
+	if c.Pos < len(c.Toks) && c.Toks[c.Pos].Kind == syntax.Ident {
+		if r, ok := regByName(strings.ToLower(c.Toks[c.Pos].Text)); ok {
+			c.Pos++
 			return r, nil
 		}
 	}
-	if c.pos < len(c.toks) {
-		return 0, errf(c.line, "expected register, got %q", c.toks[c.pos].Text)
+	if c.Pos < len(c.Toks) {
+		return 0, errf(c.Line, "expected register, got %q", c.Toks[c.Pos].Text)
 	}
-	return 0, errf(c.line, "missing register operand")
+	return 0, errf(c.Line, "missing register operand")
 }
 
 // offReg consumes "off(reg)"; a bare "(reg)" means offset zero.
-func (c *cursor) offReg() (syntax.Expr, uint8, error) {
+func offReg(c *syntax.Cursor) (syntax.Expr, uint8, error) {
 	var off syntax.Expr
-	if !(c.pos < len(c.toks) && c.toks[c.pos].Kind == syntax.Punct && c.toks[c.pos].Text == "(") {
-		e, err := c.expr()
+	if !(c.Pos < len(c.Toks) && c.Toks[c.Pos].Kind == syntax.Punct && c.Toks[c.Pos].Text == "(") {
+		e, err := c.Expr()
 		if err != nil {
 			return nil, 0, err
 		}
 		off = e
 	}
-	if !c.punct("(") {
-		return nil, 0, errf(c.line, "expected '(reg)' in memory operand")
+	if !c.Punct("(") {
+		return nil, 0, errf(c.Line, "expected '(reg)' in memory operand")
 	}
-	r, err := c.reg()
+	r, err := register(c)
 	if err != nil {
 		return nil, 0, err
 	}
-	if !c.punct(")") {
-		return nil, 0, errf(c.line, "missing ')' in memory operand")
+	if !c.Punct(")") {
+		return nil, 0, errf(c.Line, "missing ')' in memory operand")
 	}
 	return off, r, nil
 }
 
-func (p *rparser) parseInst(name string, toks []syntax.Token, line int) error {
-	c := &cursor{toks: toks, line: line}
+// memOperand is the destination of an "off(reg)" operand.
+type memOperand struct {
+	off  *syntax.Expr
+	base *uint8
+}
 
+// operand parses one operand into dst: a register into *uint8, an
+// expression into *syntax.Expr, "off(reg)" into a memOperand.
+func operand(c *syntax.Cursor, dst any) (err error) {
+	switch d := dst.(type) {
+	case *uint8:
+		*d, err = register(c)
+	case *syntax.Expr:
+		*d, err = c.Expr()
+	case memOperand:
+		*d.off, *d.base, err = offReg(c)
+	}
+	return err
+}
+
+// operands parses a comma-separated operand list with operand, one
+// element of dst per operand, and checks that nothing follows it. Each
+// dialect keeps this loop so that operand is a direct call: through a
+// function value, the pointers in dst would move the instruction being
+// parsed to the heap.
+func operands(c *syntax.Cursor, dst ...any) error {
+	for i, d := range dst {
+		if i > 0 {
+			if err := c.Comma(); err != nil {
+				return err
+			}
+		}
+		if err := operand(c, d); err != nil {
+			return err
+		}
+	}
+	return c.End()
+}
+
+func parseInst(a *syntax.Assembler[inst], name string, c *syntax.Cursor) error {
 	// Pseudo-instructions first; each rewrites into one base item
 	// (li/la may take two words, decided here so layout stays
 	// single-pass).
+	var in inst
+	var err error
 	switch name {
 	case "nop":
-		if err := c.end(); err != nil {
-			return err
-		}
-		p.add(ritem{kind: rInst, line: line, op: ADDI})
-		return nil
+		in.op, err = ADDI, c.End()
 	case "mv":
-		rd, err := c.reg()
-		if err != nil {
-			return err
-		}
-		if err := c.comma(); err != nil {
-			return err
-		}
-		rs, err := c.reg()
-		if err != nil {
-			return err
-		}
-		if err := c.end(); err != nil {
-			return err
-		}
-		p.add(ritem{kind: rInst, line: line, op: ADDI, rd: rd, rs1: rs})
-		return nil
-	case "neg", "not":
-		rd, err := c.reg()
-		if err != nil {
-			return err
-		}
-		if err := c.comma(); err != nil {
-			return err
-		}
-		rs, err := c.reg()
-		if err != nil {
-			return err
-		}
-		if err := c.end(); err != nil {
-			return err
-		}
-		if name == "neg" {
-			p.add(ritem{kind: rInst, line: line, op: SUB, rd: rd, rs2: rs})
-		} else {
-			p.add(ritem{kind: rInst, line: line, op: XORI, rd: rd, rs1: rs, imm: syntax.Num{V: -1}})
-		}
-		return nil
+		in.op, err = ADDI, operands(c, &in.rd, &in.rs1)
+	case "neg":
+		in.op, err = SUB, operands(c, &in.rd, &in.rs2)
+	case "not":
+		in.op, in.imm = XORI, syntax.Num{V: -1}
+		err = operands(c, &in.rd, &in.rs1)
 	case "li", "la":
-		rd, err := c.reg()
-		if err != nil {
-			return err
+		in.li, in.wide = true, true
+		if err = operands(c, &in.rd, &in.imm); err == nil {
+			if v, ok := syntax.LiteralValue(in.imm); ok && v >= -2048 && v <= 2047 {
+				in.wide = false
+			}
 		}
-		if err := c.comma(); err != nil {
-			return err
-		}
-		e, err := c.expr()
-		if err != nil {
-			return err
-		}
-		if err := c.end(); err != nil {
-			return err
-		}
-		it := ritem{kind: rLi, line: line, rd: rd, imm: e, wide: true}
-		if v, ok := syntax.LiteralValue(e); ok && v >= -2048 && v <= 2047 {
-			it.wide = false
-		}
-		p.add(it)
-		return nil
 	case "j", "call":
-		e, err := c.expr()
-		if err != nil {
-			return err
-		}
-		if err := c.end(); err != nil {
-			return err
-		}
-		rd := uint8(RegZero)
+		in.op, err = JAL, operands(c, &in.imm)
 		if name == "call" {
-			rd = RegRA
+			in.rd = RegRA
 		}
-		p.add(ritem{kind: rInst, line: line, op: JAL, rd: rd, imm: e})
-		return nil
 	case "jr":
-		rs, err := c.reg()
-		if err != nil {
-			return err
-		}
-		if err := c.end(); err != nil {
-			return err
-		}
-		p.add(ritem{kind: rInst, line: line, op: JALR, rs1: rs})
-		return nil
+		in.op, err = JALR, operands(c, &in.rs1)
 	case "ret":
-		if err := c.end(); err != nil {
-			return err
-		}
-		p.add(ritem{kind: rInst, line: line, op: JALR, rs1: RegRA})
-		return nil
+		in.op, in.rs1, err = JALR, RegRA, c.End()
 	case "beqz", "bnez":
-		rs, err := c.reg()
-		if err != nil {
-			return err
-		}
-		if err := c.comma(); err != nil {
-			return err
-		}
-		e, err := c.expr()
-		if err != nil {
-			return err
-		}
-		if err := c.end(); err != nil {
-			return err
-		}
-		op := BEQ
+		in.op = BEQ
 		if name == "bnez" {
-			op = BNE
+			in.op = BNE
 		}
-		p.add(ritem{kind: rInst, line: line, op: op, rs1: rs, imm: e})
-		return nil
+		err = operands(c, &in.rs1, &in.imm)
 	case "ble", "bgt":
-		a, err := c.reg()
-		if err != nil {
-			return err
-		}
-		if err := c.comma(); err != nil {
-			return err
-		}
-		b, err := c.reg()
-		if err != nil {
-			return err
-		}
-		if err := c.comma(); err != nil {
-			return err
-		}
-		e, err := c.expr()
-		if err != nil {
-			return err
-		}
-		if err := c.end(); err != nil {
-			return err
-		}
-		// a <= b  ==  b >= a;  a > b  ==  b < a.
-		op := BGE
+		// x <= y  ==  y >= x;  x > y  ==  y < x.
+		in.op = BGE
 		if name == "bgt" {
-			op = BLT
+			in.op = BLT
 		}
-		p.add(ritem{kind: rInst, line: line, op: op, rs1: b, rs2: a, imm: e})
-		return nil
+		err = operands(c, &in.rs2, &in.rs1, &in.imm)
+	default:
+		err = parseBase(&in, name, c)
 	}
-
-	op, ok := ByName(name)
-	if !ok {
-		return errf(line, "unknown instruction %q", name)
-	}
-	info, _ := Lookup(op)
-	it := ritem{kind: rInst, line: line, op: op}
-	var err error
-	switch info.Fmt {
-	case FmtR:
-		if it.rd, err = c.reg(); err != nil {
-			return err
-		}
-		if err = c.comma(); err != nil {
-			return err
-		}
-		if it.rs1, err = c.reg(); err != nil {
-			return err
-		}
-		if err = c.comma(); err != nil {
-			return err
-		}
-		if it.rs2, err = c.reg(); err != nil {
-			return err
-		}
-	case FmtI:
-		if it.rd, err = c.reg(); err != nil {
-			return err
-		}
-		if err = c.comma(); err != nil {
-			return err
-		}
-		if info.Opcode == opcLoad || op == JALR {
-			if it.imm, it.rs1, err = c.offReg(); err != nil {
-				return err
-			}
-		} else {
-			if it.rs1, err = c.reg(); err != nil {
-				return err
-			}
-			if err = c.comma(); err != nil {
-				return err
-			}
-			if it.imm, err = c.expr(); err != nil {
-				return err
-			}
-		}
-	case FmtIS:
-		if it.rd, err = c.reg(); err != nil {
-			return err
-		}
-		if err = c.comma(); err != nil {
-			return err
-		}
-		if it.rs1, err = c.reg(); err != nil {
-			return err
-		}
-		if err = c.comma(); err != nil {
-			return err
-		}
-		if it.imm, err = c.expr(); err != nil {
-			return err
-		}
-	case FmtS:
-		if it.rs2, err = c.reg(); err != nil {
-			return err
-		}
-		if err = c.comma(); err != nil {
-			return err
-		}
-		if it.imm, it.rs1, err = c.offReg(); err != nil {
-			return err
-		}
-	case FmtB:
-		if it.rs1, err = c.reg(); err != nil {
-			return err
-		}
-		if err = c.comma(); err != nil {
-			return err
-		}
-		if it.rs2, err = c.reg(); err != nil {
-			return err
-		}
-		if err = c.comma(); err != nil {
-			return err
-		}
-		if it.imm, err = c.expr(); err != nil {
-			return err
-		}
-	case FmtU:
-		if it.rd, err = c.reg(); err != nil {
-			return err
-		}
-		if err = c.comma(); err != nil {
-			return err
-		}
-		if it.imm, err = c.expr(); err != nil {
-			return err
-		}
-	case FmtJ:
-		if it.rd, err = c.reg(); err != nil {
-			return err
-		}
-		if err = c.comma(); err != nil {
-			return err
-		}
-		if it.imm, err = c.expr(); err != nil {
-			return err
-		}
-	case FmtSys:
-		// no operands
-	}
-	if err := c.end(); err != nil {
+	if err != nil {
 		return err
 	}
-	p.add(it)
+	a.AddInst(c.Line, in)
 	return nil
 }
 
-func (p *rparser) parseDirective(name string, toks []syntax.Token, line int) error {
-	c := &cursor{toks: toks, line: line}
-	switch name {
-	case ".equ":
-		if c.done() || c.toks[c.pos].Kind != syntax.Ident {
-			return errf(line, ".equ needs a name")
+// parseBase parses a base instruction in its format's operand order.
+func parseBase(in *inst, name string, c *syntax.Cursor) error {
+	op, ok := ByName(name)
+	if !ok {
+		return errf(c.Line, "unknown instruction %q", name)
+	}
+	in.op = op
+	info, _ := Lookup(op)
+	switch info.Fmt {
+	case FmtR:
+		return operands(c, &in.rd, &in.rs1, &in.rs2)
+	case FmtI:
+		if info.Opcode == opcLoad || op == JALR {
+			return operands(c, &in.rd, memOperand{&in.imm, &in.rs1})
 		}
-		sym := c.toks[c.pos].Text
-		c.pos++
-		if err := c.comma(); err != nil {
-			return err
-		}
-		e, err := c.expr()
+		return operands(c, &in.rd, &in.rs1, &in.imm)
+	case FmtIS:
+		return operands(c, &in.rd, &in.rs1, &in.imm)
+	case FmtS:
+		return operands(c, &in.rs2, memOperand{&in.imm, &in.rs1})
+	case FmtB:
+		return operands(c, &in.rs1, &in.rs2, &in.imm)
+	case FmtU, FmtJ:
+		return operands(c, &in.rd, &in.imm)
+	}
+	return c.End() // FmtSys: no operands
+}
+
+func encodeItem(out []byte, it *item, syms map[string]uint32) ([]byte, error) {
+	if !it.Inst.li {
+		w, err := encodeInst(it, syms)
 		if err != nil {
-			return err
+			return nil, err
 		}
-		if err := c.end(); err != nil {
-			return err
-		}
-		v, err := e.Eval(p.syms)
+		return binary.BigEndian.AppendUint32(out, w), nil
+	}
+	in := &it.Inst
+	v, err := in.imm.Eval(syms)
+	if err != nil {
+		return nil, errf(it.Line, "%v", err)
+	}
+	if !in.wide {
+		w, err := Encode(ADDI, in.rd, RegZero, 0, int32(v))
 		if err != nil {
-			return errf(line, ".equ value must be computable here: %v", err)
+			return nil, errf(it.Line, "%v", err)
 		}
-		if _, dup := p.syms[sym]; dup {
-			return errf(line, "symbol %q redefined", sym)
-		}
-		p.syms[sym] = uint32(v)
-		return nil
-
-	case ".org", ".space", ".align":
-		e, err := c.expr()
-		if err != nil {
-			return err
-		}
-		if err := c.end(); err != nil {
-			return err
-		}
-		v, err := e.Eval(p.syms)
-		if err != nil {
-			return errf(line, "%s operand must be computable here: %v", name, err)
-		}
-		if v < 0 {
-			return errf(line, "%s operand must be non-negative", name)
-		}
-		kind := map[string]rkind{".org": rOrg, ".space": rSpace, ".align": rAlign}[name]
-		if kind == rAlign && (v == 0 || v&(v-1) != 0) {
-			return errf(line, ".align needs a power of two")
-		}
-		p.add(ritem{kind: kind, line: line, count: uint32(v)})
-		return nil
-
-	case ".word", ".half", ".byte":
-		var exprs []syntax.Expr
-		for {
-			e, err := c.expr()
-			if err != nil {
-				return err
-			}
-			exprs = append(exprs, e)
-			if c.done() {
-				break
-			}
-			if err := c.comma(); err != nil {
-				return err
-			}
-		}
-		kind := map[string]rkind{".word": rWord, ".half": rHalf, ".byte": rByte}[name]
-		p.add(ritem{kind: kind, line: line, exprs: exprs})
-		return nil
-
-	case ".ascii", ".asciz":
-		if c.done() || c.toks[c.pos].Kind != syntax.String {
-			return errf(line, "%s needs a string", name)
-		}
-		s := c.toks[c.pos].Text
-		c.pos++
-		if err := c.end(); err != nil {
-			return err
-		}
-		if name == ".asciz" {
-			s += "\x00"
-		}
-		p.add(ritem{kind: rAscii, line: line, str: s})
-		return nil
+		return binary.BigEndian.AppendUint32(out, w), nil
 	}
-	return errf(line, "unknown directive %q", name)
+	u := uint32(v)
+	hi := (u + 0x800) >> 12
+	lo := int32(u) - int32(hi<<12)
+	wHi, err := Encode(LUI, in.rd, 0, 0, int32(hi&0xfffff))
+	if err != nil {
+		return nil, errf(it.Line, "%v", err)
+	}
+	wLo, err := Encode(ADDI, in.rd, in.rd, 0, lo)
+	if err != nil {
+		return nil, errf(it.Line, "%v", err)
+	}
+	out = binary.BigEndian.AppendUint32(out, wHi)
+	return binary.BigEndian.AppendUint32(out, wLo), nil
 }
 
-func (it *ritem) size() uint32 {
-	switch it.kind {
-	case rInst:
-		return 4
-	case rLi:
-		if it.wide {
-			return 8
-		}
-		return 4
-	case rWord:
-		return 4 * uint32(len(it.exprs))
-	case rHalf:
-		return 2 * uint32(len(it.exprs))
-	case rByte:
-		return uint32(len(it.exprs))
-	case rAscii:
-		return uint32(len(it.str))
-	case rSpace:
-		return it.count
-	default:
-		return 0
-	}
-}
-
-func (it *ritem) alignment() uint32 {
-	switch it.kind {
-	case rInst, rLi, rWord:
-		return 4
-	case rHalf:
-		return 2
-	default:
-		return 1
-	}
-}
-
-func (p *rparser) layout() error {
-	lc := uint32(0)
-	for i := range p.items {
-		it := &p.items[i]
-		switch it.kind {
-		case rOrg:
-			if it.count < lc {
-				return errf(it.line, ".org %#x moves backwards from %#x", it.count, lc)
-			}
-			lc = it.count
-		case rAlign:
-			lc = (lc + it.count - 1) &^ (it.count - 1)
-		}
-		if a := it.alignment(); lc%a != 0 {
-			lc = (lc + a - 1) &^ (a - 1)
-		}
-		it.addr = lc
-		for _, l := range it.labels {
-			if _, dup := p.syms[l]; dup {
-				return errf(it.line, "symbol %q redefined", l)
-			}
-			p.syms[l] = lc
-		}
-		lc += it.size()
-	}
-	for _, l := range p.pending {
-		if _, dup := p.syms[l]; dup {
-			return fmt.Errorf("rv32: symbol %q redefined", l)
-		}
-		p.syms[l] = lc
-	}
-	return nil
-}
-
-func (p *rparser) emit() (*Program, error) {
-	prog := &Program{Symbols: p.syms}
-	var cur *Segment
-	put := func(addr uint32, b []byte) {
-		if cur == nil || cur.Addr+uint32(len(cur.Data)) != addr {
-			prog.Segments = append(prog.Segments, Segment{Addr: addr})
-			cur = &prog.Segments[len(prog.Segments)-1]
-		}
-		cur.Data = append(cur.Data, b...)
-	}
-	putWord := func(addr uint32, w uint32) {
-		var b [4]byte
-		binary.BigEndian.PutUint32(b[:], w)
-		put(addr, b[:])
-	}
-
-	for i := range p.items {
-		it := &p.items[i]
-		switch it.kind {
-		case rInst:
-			w, err := p.encodeInst(it)
-			if err != nil {
-				return nil, err
-			}
-			putWord(it.addr, w)
-			prog.TextSize += 4
-		case rLi:
-			v, err := it.imm.Eval(p.syms)
-			if err != nil {
-				return nil, errf(it.line, "%v", err)
-			}
-			if !it.wide {
-				w, err := Encode(ADDI, it.rd, RegZero, 0, int32(v))
-				if err != nil {
-					return nil, errf(it.line, "%v", err)
-				}
-				putWord(it.addr, w)
-				prog.TextSize += 4
-				break
-			}
-			u := uint32(v)
-			hi := (u + 0x800) >> 12
-			lo := int32(u) - int32(hi<<12)
-			wHi, err := Encode(LUI, it.rd, 0, 0, int32(hi&0xfffff))
-			if err != nil {
-				return nil, errf(it.line, "%v", err)
-			}
-			wLo, err := Encode(ADDI, it.rd, it.rd, 0, lo)
-			if err != nil {
-				return nil, errf(it.line, "%v", err)
-			}
-			putWord(it.addr, wHi)
-			putWord(it.addr+4, wLo)
-			prog.TextSize += 8
-		case rWord, rHalf, rByte:
-			sz := map[rkind]int{rWord: 4, rHalf: 2, rByte: 1}[it.kind]
-			for j, e := range it.exprs {
-				v, err := e.Eval(p.syms)
-				if err != nil {
-					return nil, errf(it.line, "%v", err)
-				}
-				b := make([]byte, sz)
-				switch sz {
-				case 4:
-					binary.BigEndian.PutUint32(b, uint32(v))
-				case 2:
-					binary.BigEndian.PutUint16(b, uint16(v))
-				default:
-					b[0] = byte(v)
-				}
-				put(it.addr+uint32(j*sz), b)
-			}
-			prog.DataSize += sz * len(it.exprs)
-		case rAscii:
-			put(it.addr, []byte(it.str))
-			prog.DataSize += len(it.str)
-		case rSpace:
-			if it.count > 0 {
-				put(it.addr, make([]byte, it.count))
-				prog.DataSize += int(it.count)
-			}
-		}
-	}
-	prog.Entry = p.entry()
-	return prog, nil
-}
-
-func (p *rparser) entry() uint32 {
-	if v, ok := p.syms["start"]; ok {
-		return v
-	}
-	if v, ok := p.syms["main"]; ok {
-		return v
-	}
-	for _, it := range p.items {
-		if it.kind == rInst || it.kind == rLi {
-			return it.addr
-		}
-	}
-	return 0
-}
-
-func (p *rparser) encodeInst(it *ritem) (uint32, error) {
-	info, _ := Lookup(it.op)
+func encodeInst(it *item, syms map[string]uint32) (uint32, error) {
+	in := &it.Inst
+	info, _ := Lookup(in.op)
 	var imm int32
-	if it.imm != nil {
-		v, err := it.imm.Eval(p.syms)
+	if in.imm != nil {
+		v, err := in.imm.Eval(syms)
 		if err != nil {
-			return 0, errf(it.line, "%v", err)
+			return 0, errf(it.Line, "%v", err)
 		}
 		imm = int32(v)
 	}
 	switch info.Fmt {
 	case FmtB, FmtJ:
 		// Targets are absolute addresses; the formats encode pc-relative.
-		imm -= int32(it.addr)
+		imm -= int32(it.Addr)
 		if info.Fmt == FmtB && (imm < -4096 || imm > 4095) {
-			return 0, errf(it.line, "branch target out of the ±4 KiB range (offset %d)", imm)
+			return 0, errf(it.Line, "branch target out of the ±4 KiB range (offset %d)", imm)
 		}
 	}
-	w, err := Encode(it.op, it.rd, it.rs1, it.rs2, imm)
+	w, err := Encode(in.op, in.rd, in.rs1, in.rs2, imm)
 	if err != nil {
-		return 0, errf(it.line, "%v", err)
+		return 0, errf(it.Line, "%v", err)
 	}
 	return w, nil
 }

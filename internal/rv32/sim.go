@@ -23,7 +23,7 @@ type Config struct {
 
 func (c Config) withDefaults() Config {
 	if c.MemSize == 0 {
-		c.MemSize = 1 << 20
+		c.MemSize = mem.DefaultSize
 	}
 	if c.StackTop == 0 {
 		c.StackTop = uint32(c.MemSize)

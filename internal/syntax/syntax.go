@@ -1,8 +1,11 @@
-// Package syntax provides the line scanner and constant-expression
-// parser shared by the RISC I assembler and the CISC baseline assembler:
-// tokens, numeric literals (decimal, 0x, 0b, character), strings with
-// escapes, and a two-pass-friendly expression tree resolved against a
-// symbol table.
+// Package syntax is the two-pass assembler core shared by the RISC I,
+// CISC baseline and RV32 assemblers: the line scanner (tokens, numeric
+// literals in decimal, 0x, 0b and character form, strings with
+// escapes), the constant-expression tree resolved against the symbol
+// table, and the Dialect-driven assembler itself — labels, data and
+// location directives, layout, segment emit and the entry rule — with
+// the Program it produces. Each backend supplies only its instruction
+// set.
 package syntax
 
 import (

@@ -2,60 +2,15 @@ package vax
 
 import (
 	"encoding/binary"
-	"fmt"
-	"sort"
 	"strconv"
 	"strings"
 
-	"risc1/internal/mem"
 	"risc1/internal/syntax"
 )
 
-// Segment is a contiguous block of assembled bytes.
-type Segment struct {
-	Addr uint32
-	Data []byte
-}
-
-// Program is the output of the baseline assembler.
-type Program struct {
-	Segments []Segment
-	Symbols  map[string]uint32
-	Entry    uint32 // "start" if defined, else "main", else first instruction
-	TextSize int    // bytes of instructions + entry masks (static code size)
-	DataSize int
-}
-
-// LoadInto copies all segments into memory.
-func (p *Program) LoadInto(m *mem.Memory) error {
-	for _, s := range p.Segments {
-		if err := m.WriteBytes(s.Addr, s.Data); err != nil {
-			return fmt.Errorf("vax: loading segment at %#08x: %w", s.Addr, err)
-		}
-	}
-	return nil
-}
-
-// Symbol looks up a label or .equ value.
-func (p *Program) Symbol(name string) (uint32, bool) {
-	v, ok := p.Symbols[name]
-	return v, ok
-}
-
-// SortedSymbols returns symbol names in address order.
-func (p *Program) SortedSymbols() []string {
-	names := make([]string, 0, len(p.Symbols))
-	for n := range p.Symbols {
-		names = append(names, n)
-	}
-	sort.Slice(names, func(i, j int) bool {
-		if p.Symbols[names[i]] != p.Symbols[names[j]] {
-			return p.Symbols[names[i]] < p.Symbols[names[j]]
-		}
-		return names[i] < names[j]
-	})
-	return names
-}
+// Program is the output of the baseline assembler. Its text size counts
+// .entry masks as well as instructions.
+type Program struct{ syntax.Program }
 
 func errf(line int, format string, args ...any) error {
 	return syntax.Errorf(line, "vax: "+format, args...)
@@ -69,16 +24,15 @@ func errf(line int, format string, args ...any) error {
 // Procedure bodies start with ".entry [regs...]" giving the register-save
 // mask for CALLS. Data directives match the RISC assembler's.
 func Assemble(src string) (*Program, error) {
-	p := &vparser{syms: make(map[string]uint32)}
-	for lineNo, line := range strings.Split(src, "\n") {
-		if err := p.parseLine(line, lineNo+1); err != nil {
-			return nil, err
-		}
-	}
-	if err := p.layout(); err != nil {
+	a, err := dialect.Parse(src)
+	if err != nil {
 		return nil, err
 	}
-	return p.emit()
+	prog := &Program{}
+	if err := a.Link(&prog.Program); err != nil {
+		return nil, err
+	}
+	return prog, nil
 }
 
 // MustAssemble panics on error; for known-good embedded sources.
@@ -90,20 +44,6 @@ func MustAssemble(src string) *Program {
 	return prog
 }
 
-type vkind uint8
-
-const (
-	vInst vkind = iota
-	vEntry
-	vWord
-	vHalf
-	vByte
-	vAscii
-	vSpace
-	vAlign
-	vOrg
-)
-
 // operandSrc is a parsed operand before encoding.
 type operandSrc struct {
 	mode     Mode
@@ -112,29 +52,25 @@ type operandSrc struct {
 	dispSize Size        // for displacement modes, chosen at parse time
 }
 
-type vitem struct {
-	kind     vkind
-	line     int
-	labels   []string
+// inst is one parsed instruction, or a .entry register-save mask.
+type inst struct {
+	isMask   bool   // a .entry directive, not an instruction
+	mask     uint16 // .entry register-save mask
 	op       Op
 	operands []operandSrc
-	mask     uint16 // .entry register-save mask
-	exprs    []syntax.Expr
-	str      string
-	count    uint32
-	addr     uint32
 }
 
-type vparser struct {
-	items   []vitem
-	syms    map[string]uint32
-	pending []string
-}
+type item = syntax.Item[inst]
 
-func (p *vparser) add(it vitem) {
-	it.labels = p.pending
-	p.pending = nil
-	p.items = append(p.items, it)
+var dialect = &syntax.Dialect[inst]{
+	Name:      "vax",
+	Errorf:    errf,
+	Inst:      parseInst,
+	Directive: parseEntry,
+	Layout:    sizeOf,
+	Encode:    encodeItem,
+	// A procedure's .entry mask is not where execution starts.
+	Executable: func(in *inst) bool { return !in.isMask },
 }
 
 func regName(s string) (uint8, bool) {
@@ -155,101 +91,37 @@ func regName(s string) (uint8, bool) {
 	return 0, false
 }
 
-func (p *vparser) parseLine(line string, lineNo int) error {
-	toks, err := syntax.ScanLine(line, lineNo)
-	if err != nil {
-		return err
-	}
-	for len(toks) >= 2 && toks[0].Kind == syntax.Ident && toks[1].Kind == syntax.Punct && toks[1].Text == ":" {
-		name := toks[0].Text
-		p.pending = append(p.pending, name)
-		toks = toks[2:]
-	}
-	if len(toks) == 0 {
-		return nil
-	}
-	if toks[0].Kind != syntax.Ident {
-		return errf(lineNo, "expected mnemonic or directive, got %q", toks[0].Text)
-	}
-	head := strings.ToLower(toks[0].Text)
-	rest := toks[1:]
-	if strings.HasPrefix(head, ".") {
-		return p.parseDirective(head, rest, lineNo)
-	}
-	return p.parseInst(head, rest, lineNo)
-}
-
-type cursor struct {
-	toks []syntax.Token
-	pos  int
-	line int
-}
-
-func (c *cursor) done() bool { return c.pos >= len(c.toks) }
-
-func (c *cursor) punct(s string) bool {
-	if c.pos < len(c.toks) && c.toks[c.pos].Kind == syntax.Punct && c.toks[c.pos].Text == s {
-		c.pos++
-		return true
-	}
-	return false
-}
-
-func (c *cursor) comma() error {
-	if c.punct(",") {
-		return nil
-	}
-	return errf(c.line, "expected ','")
-}
-
-func (c *cursor) end() error {
-	if !c.done() {
-		return errf(c.line, "unexpected trailing operands")
-	}
-	return nil
-}
-
-func (c *cursor) expr() (syntax.Expr, error) {
-	ep := &syntax.Parser{Toks: c.toks, Pos: c.pos, Line: c.line}
-	e, err := ep.Parse()
-	if err != nil {
-		return nil, err
-	}
-	c.pos = ep.Pos
-	return e, nil
-}
-
 // isRegToken reports whether the token at pos names a register.
-func (c *cursor) isRegToken(pos int) (uint8, bool) {
-	if pos < len(c.toks) && c.toks[pos].Kind == syntax.Ident {
-		return regName(c.toks[pos].Text)
+func isRegToken(c *syntax.Cursor, pos int) (uint8, bool) {
+	if pos < len(c.Toks) && c.Toks[pos].Kind == syntax.Ident {
+		return regName(c.Toks[pos].Text)
 	}
 	return 0, false
 }
 
 // parseOperand parses one general operand.
-func (c *cursor) parseOperand(arg Arg) (operandSrc, error) {
-	if c.done() {
-		return operandSrc{}, errf(c.line, "missing operand")
+func parseOperand(c *syntax.Cursor, arg Arg) (operandSrc, error) {
+	if c.Done() {
+		return operandSrc{}, errf(c.Line, "missing operand")
 	}
 	// Branch displacement: a bare expression.
 	if arg.Kind == ArgBr8 || arg.Kind == ArgBr16 {
-		e, err := c.expr()
+		e, err := c.Expr()
 		return operandSrc{disp: e}, err
 	}
-	t := c.toks[c.pos]
+	t := c.Toks[c.Pos]
 	// $expr — immediate.
 	if t.Kind == syntax.Punct && t.Text == "$" {
-		c.pos++
-		e, err := c.expr()
+		c.Pos++
+		e, err := c.Expr()
 		return operandSrc{mode: ModeImmAbs, reg: immSub, disp: e}, err
 	}
 	// -(rN) — autodecrement. A '-' followed by '(' reg ')'.
 	if t.Kind == syntax.Punct && t.Text == "-" {
-		if r, ok := c.isRegToken(c.pos + 2); ok && c.pos+3 < len(c.toks)+1 &&
-			c.toks[c.pos+1].Kind == syntax.Punct && c.toks[c.pos+1].Text == "(" {
-			if c.pos+3 < len(c.toks) && c.toks[c.pos+3].Kind == syntax.Punct && c.toks[c.pos+3].Text == ")" {
-				c.pos += 4
+		if r, ok := isRegToken(c, c.Pos+2); ok && c.Pos+3 < len(c.Toks)+1 &&
+			c.Toks[c.Pos+1].Kind == syntax.Punct && c.Toks[c.Pos+1].Text == "(" {
+			if c.Pos+3 < len(c.Toks) && c.Toks[c.Pos+3].Kind == syntax.Punct && c.Toks[c.Pos+3].Text == ")" {
+				c.Pos += 4
 				return operandSrc{mode: ModeAutoDec, reg: r}, nil
 			}
 		}
@@ -257,10 +129,10 @@ func (c *cursor) parseOperand(arg Arg) (operandSrc, error) {
 	}
 	// (rN) or (rN)+ — deferred / autoincrement.
 	if t.Kind == syntax.Punct && t.Text == "(" {
-		if r, ok := c.isRegToken(c.pos + 1); ok &&
-			c.pos+2 < len(c.toks) && c.toks[c.pos+2].Kind == syntax.Punct && c.toks[c.pos+2].Text == ")" {
-			c.pos += 3
-			if c.punct("+") {
+		if r, ok := isRegToken(c, c.Pos+1); ok &&
+			c.Pos+2 < len(c.Toks) && c.Toks[c.Pos+2].Kind == syntax.Punct && c.Toks[c.Pos+2].Text == ")" {
+			c.Pos += 3
+			if c.Punct("+") {
 				return operandSrc{mode: ModeAutoInc, reg: r}, nil
 			}
 			return operandSrc{mode: ModeDeferred, reg: r}, nil
@@ -270,23 +142,23 @@ func (c *cursor) parseOperand(arg Arg) (operandSrc, error) {
 	// rN — register direct.
 	if t.Kind == syntax.Ident {
 		if r, ok := regName(t.Text); ok {
-			c.pos++
+			c.Pos++
 			return operandSrc{mode: ModeReg, reg: r}, nil
 		}
 	}
 	// expr or expr(rN) — absolute or displacement.
-	e, err := c.expr()
+	e, err := c.Expr()
 	if err != nil {
 		return operandSrc{}, err
 	}
-	if c.punct("(") {
-		r, ok := c.isRegToken(c.pos)
+	if c.Punct("(") {
+		r, ok := isRegToken(c, c.Pos)
 		if !ok {
-			return operandSrc{}, errf(c.line, "expected register in displacement operand")
+			return operandSrc{}, errf(c.Line, "expected register in displacement operand")
 		}
-		c.pos++
-		if !c.punct(")") {
-			return operandSrc{}, errf(c.line, "missing ')' in displacement operand")
+		c.Pos++
+		if !c.Punct(")") {
+			return operandSrc{}, errf(c.Line, "missing ')' in displacement operand")
 		}
 		return operandSrc{mode: dispMode(e), reg: r, disp: e, dispSize: dispSizeOf(e)}, nil
 	}
@@ -318,142 +190,58 @@ func dispSizeOf(e syntax.Expr) Size {
 	}
 }
 
-func (p *vparser) parseInst(name string, toks []syntax.Token, line int) error {
+func parseInst(a *syntax.Assembler[inst], name string, c *syntax.Cursor) error {
 	op, ok := ByName(name)
 	if !ok {
-		return errf(line, "unknown instruction %q", name)
+		return errf(c.Line, "unknown instruction %q", name)
 	}
 	info, _ := Lookup(op)
-	c := &cursor{toks: toks, line: line}
-	it := vitem{kind: vInst, line: line, op: op}
+	in := inst{op: op}
 	for i, arg := range info.Args {
 		if i > 0 {
-			if err := c.comma(); err != nil {
+			if err := c.Comma(); err != nil {
 				return err
 			}
 		}
-		o, err := c.parseOperand(arg)
+		o, err := parseOperand(c, arg)
 		if err != nil {
 			return err
 		}
-		it.operands = append(it.operands, o)
+		in.operands = append(in.operands, o)
 	}
-	if err := c.end(); err != nil {
+	if err := c.End(); err != nil {
 		return err
 	}
-	p.add(it)
+	a.AddInst(c.Line, in)
 	return nil
 }
 
-func (p *vparser) parseDirective(name string, toks []syntax.Token, line int) error {
-	c := &cursor{toks: toks, line: line}
-	switch name {
-	case ".entry":
-		var mask uint16
-		for !c.done() {
-			if len(c.toks[c.pos:]) > 0 && c.toks[c.pos].Kind == syntax.Ident {
-				r, ok := regName(c.toks[c.pos].Text)
-				if !ok || r >= RegAP {
-					return errf(line, ".entry may only save r0..r11, got %q", c.toks[c.pos].Text)
-				}
-				mask |= 1 << r
-				c.pos++
-				if c.done() {
-					break
-				}
-				if err := c.comma(); err != nil {
-					return err
-				}
-				continue
-			}
-			return errf(line, ".entry expects register names")
-		}
-		p.add(vitem{kind: vEntry, line: line, mask: mask})
-		return nil
-
-	case ".equ":
-		if c.done() || c.toks[c.pos].Kind != syntax.Ident {
-			return errf(line, ".equ needs a name")
-		}
-		sym := c.toks[c.pos].Text
-		c.pos++
-		if err := c.comma(); err != nil {
-			return err
-		}
-		e, err := c.expr()
-		if err != nil {
-			return err
-		}
-		if err := c.end(); err != nil {
-			return err
-		}
-		v, err := e.Eval(p.syms)
-		if err != nil {
-			return errf(line, ".equ value must be computable here: %v", err)
-		}
-		if _, dup := p.syms[sym]; dup {
-			return errf(line, "symbol %q redefined", sym)
-		}
-		p.syms[sym] = uint32(v)
-		return nil
-
-	case ".org", ".space", ".align":
-		e, err := c.expr()
-		if err != nil {
-			return err
-		}
-		if err := c.end(); err != nil {
-			return err
-		}
-		v, err := e.Eval(p.syms)
-		if err != nil {
-			return errf(line, "%s operand must be computable here: %v", name, err)
-		}
-		if v < 0 {
-			return errf(line, "%s operand must be non-negative", name)
-		}
-		kind := map[string]vkind{".org": vOrg, ".space": vSpace, ".align": vAlign}[name]
-		if kind == vAlign && (v == 0 || v&(v-1) != 0) {
-			return errf(line, ".align needs a power of two")
-		}
-		p.add(vitem{kind: kind, line: line, count: uint32(v)})
-		return nil
-
-	case ".word", ".half", ".byte":
-		var exprs []syntax.Expr
-		for {
-			e, err := c.expr()
-			if err != nil {
-				return err
-			}
-			exprs = append(exprs, e)
-			if c.done() {
-				break
-			}
-			if err := c.comma(); err != nil {
-				return err
-			}
-		}
-		kind := map[string]vkind{".word": vWord, ".half": vHalf, ".byte": vByte}[name]
-		p.add(vitem{kind: kind, line: line, exprs: exprs})
-		return nil
-
-	case ".ascii", ".asciz":
-		if c.done() || c.toks[c.pos].Kind != syntax.String {
-			return errf(line, "%s needs a string", name)
-		}
-		s := c.toks[c.pos].Text
-		c.pos++
-		if err := c.end(); err != nil {
-			return err
-		}
-		if name == ".asciz" {
-			s += "\x00"
-		}
-		p.add(vitem{kind: vAscii, line: line, str: s})
-		return nil
+// parseEntry parses ".entry [regs...]", a procedure's register-save
+// mask for CALLS.
+func parseEntry(a *syntax.Assembler[inst], name string, c *syntax.Cursor) (bool, error) {
+	if name != ".entry" {
+		return false, nil
 	}
-	return errf(line, "unknown directive %q", name)
+	var mask uint16
+	for !c.Done() {
+		if c.Toks[c.Pos].Kind != syntax.Ident {
+			return true, errf(c.Line, ".entry expects register names")
+		}
+		r, ok := regName(c.Toks[c.Pos].Text)
+		if !ok || r >= RegAP {
+			return true, errf(c.Line, ".entry may only save r0..r11, got %q", c.Toks[c.Pos].Text)
+		}
+		mask |= 1 << r
+		c.Pos++
+		if c.Done() {
+			break
+		}
+		if err := c.Comma(); err != nil {
+			return true, err
+		}
+	}
+	a.AddInst(c.Line, inst{isMask: true, mask: mask})
+	return true, nil
 }
 
 // operandBytes is the encoded size of one operand.
@@ -482,172 +270,53 @@ func operandBytes(o operandSrc, arg Arg) uint32 {
 	return 1
 }
 
-func (it *vitem) size() uint32 {
-	switch it.kind {
-	case vInst:
-		sz := uint32(1)
-		info, _ := Lookup(it.op)
-		for i, o := range it.operands {
-			sz += operandBytes(o, info.Args[i])
-		}
-		return sz
-	case vEntry:
-		return 2
-	case vWord:
-		return 4 * uint32(len(it.exprs))
-	case vHalf:
-		return 2 * uint32(len(it.exprs))
-	case vByte:
-		return uint32(len(it.exprs))
-	case vAscii:
-		return uint32(len(it.str))
-	case vSpace:
-		return it.count
-	default:
-		return 0
+// instBytes is the encoded size of an instruction.
+func instBytes(in *inst) uint32 {
+	sz := uint32(1)
+	info, _ := Lookup(in.op)
+	for i, o := range in.operands {
+		sz += operandBytes(o, info.Args[i])
 	}
+	return sz
 }
 
-func (it *vitem) alignment() uint32 {
-	switch it.kind {
-	case vWord:
-		return 4
-	case vHalf, vEntry:
-		return 2
-	default:
-		return 1 // instructions are unaligned byte streams, as on the VAX
+// sizeOf sizes an item: .entry masks are halfword-aligned, instructions
+// unaligned byte streams, as on the VAX.
+func sizeOf(in *inst) (size, align uint32) {
+	if in.isMask {
+		return 2, 2
 	}
+	return instBytes(in), 1
 }
 
-func (p *vparser) layout() error {
-	lc := uint32(0)
-	for i := range p.items {
-		it := &p.items[i]
-		switch it.kind {
-		case vOrg:
-			if it.count < lc {
-				return errf(it.line, ".org %#x moves backwards from %#x", it.count, lc)
-			}
-			lc = it.count
-		case vAlign:
-			lc = (lc + it.count - 1) &^ (it.count - 1)
-		}
-		if a := it.alignment(); lc%a != 0 {
-			lc = (lc + a - 1) &^ (a - 1)
-		}
-		it.addr = lc
-		for _, l := range it.labels {
-			if _, dup := p.syms[l]; dup {
-				return errf(it.line, "symbol %q redefined", l)
-			}
-			p.syms[l] = lc
-		}
-		lc += it.size()
+func encodeItem(out []byte, it *item, syms map[string]uint32) ([]byte, error) {
+	if it.Inst.isMask {
+		return binary.BigEndian.AppendUint16(out, it.Inst.mask), nil
 	}
-	for _, l := range p.pending {
-		if _, dup := p.syms[l]; dup {
-			return fmt.Errorf("vax: symbol %q redefined", l)
-		}
-		p.syms[l] = lc
-	}
-	return nil
+	return encodeInst(out, it, syms)
 }
 
-func (p *vparser) emit() (*Program, error) {
-	prog := &Program{Symbols: p.syms}
-	var cur *Segment
-	put := func(addr uint32, b []byte) {
-		if cur == nil || cur.Addr+uint32(len(cur.Data)) != addr {
-			prog.Segments = append(prog.Segments, Segment{Addr: addr})
-			cur = &prog.Segments[len(prog.Segments)-1]
-		}
-		cur.Data = append(cur.Data, b...)
-	}
-
-	for i := range p.items {
-		it := &p.items[i]
-		switch it.kind {
-		case vInst:
-			b, err := p.encodeInst(it)
-			if err != nil {
-				return nil, err
-			}
-			put(it.addr, b)
-			prog.TextSize += len(b)
-		case vEntry:
-			var b [2]byte
-			binary.BigEndian.PutUint16(b[:], it.mask)
-			put(it.addr, b[:])
-			prog.TextSize += 2
-		case vWord, vHalf, vByte:
-			sz := map[vkind]int{vWord: 4, vHalf: 2, vByte: 1}[it.kind]
-			for j, e := range it.exprs {
-				v, err := e.Eval(p.syms)
-				if err != nil {
-					return nil, errf(it.line, "%v", err)
-				}
-				b := make([]byte, sz)
-				switch sz {
-				case 4:
-					binary.BigEndian.PutUint32(b, uint32(v))
-				case 2:
-					binary.BigEndian.PutUint16(b, uint16(v))
-				default:
-					b[0] = byte(v)
-				}
-				put(it.addr+uint32(j*sz), b)
-			}
-			prog.DataSize += sz * len(it.exprs)
-		case vAscii:
-			put(it.addr, []byte(it.str))
-			prog.DataSize += len(it.str)
-		case vSpace:
-			if it.count > 0 {
-				put(it.addr, make([]byte, it.count))
-				prog.DataSize += int(it.count)
-			}
-		}
-	}
-	prog.Entry = p.entry()
-	return prog, nil
-}
-
-func (p *vparser) entry() uint32 {
-	if v, ok := p.syms["start"]; ok {
-		return v
-	}
-	if v, ok := p.syms["main"]; ok {
-		return v
-	}
-	for _, it := range p.items {
-		if it.kind == vInst {
-			return it.addr
-		}
-	}
-	return 0
-}
-
-func (p *vparser) encodeInst(it *vitem) ([]byte, error) {
-	info, _ := Lookup(it.op)
-	out := []byte{byte(it.op)}
-	end := it.addr + it.size() // branch displacements are relative to here
-	for i, o := range it.operands {
+func encodeInst(out []byte, it *item, syms map[string]uint32) ([]byte, error) {
+	info, _ := Lookup(it.Inst.op)
+	out = append(out, byte(it.Inst.op))
+	end := it.Addr + instBytes(&it.Inst) // branch displacements are relative to here
+	for i, o := range it.Inst.operands {
 		arg := info.Args[i]
 		switch arg.Kind {
 		case ArgBr8, ArgBr16:
-			v, err := o.disp.Eval(p.syms)
+			v, err := o.disp.Eval(syms)
 			if err != nil {
-				return nil, errf(it.line, "%v", err)
+				return nil, errf(it.Line, "%v", err)
 			}
 			d := v - int64(end)
 			if arg.Kind == ArgBr8 {
 				if d < -128 || d > 127 {
-					return nil, errf(it.line, "branch displacement %d exceeds a byte; use brw", d)
+					return nil, errf(it.Line, "branch displacement %d exceeds a byte; use brw", d)
 				}
 				out = append(out, byte(int8(d)))
 			} else {
 				if d < -32768 || d > 32767 {
-					return nil, errf(it.line, "branch displacement %d exceeds 16 bits", d)
+					return nil, errf(it.Line, "branch displacement %d exceeds 16 bits", d)
 				}
 				var b [2]byte
 				binary.BigEndian.PutUint16(b[:], uint16(int16(d)))
@@ -659,19 +328,19 @@ func (p *vparser) encodeInst(it *vitem) ([]byte, error) {
 		out = append(out, spec)
 		switch o.mode {
 		case ModeDisp8, ModeDisp16, ModeDisp32:
-			v, err := o.disp.Eval(p.syms)
+			v, err := o.disp.Eval(syms)
 			if err != nil {
-				return nil, errf(it.line, "%v", err)
+				return nil, errf(it.Line, "%v", err)
 			}
 			switch o.mode {
 			case ModeDisp8:
 				if v < -128 || v > 127 {
-					return nil, errf(it.line, "displacement %d exceeds a byte", v)
+					return nil, errf(it.Line, "displacement %d exceeds a byte", v)
 				}
 				out = append(out, byte(int8(v)))
 			case ModeDisp16:
 				if v < -32768 || v > 32767 {
-					return nil, errf(it.line, "displacement %d exceeds 16 bits", v)
+					return nil, errf(it.Line, "displacement %d exceeds 16 bits", v)
 				}
 				var b [2]byte
 				binary.BigEndian.PutUint16(b[:], uint16(int16(v)))
@@ -682,9 +351,9 @@ func (p *vparser) encodeInst(it *vitem) ([]byte, error) {
 				out = append(out, b[:]...)
 			}
 		case ModeImmAbs:
-			v, err := o.disp.Eval(p.syms)
+			v, err := o.disp.Eval(syms)
 			if err != nil {
-				return nil, errf(it.line, "%v", err)
+				return nil, errf(it.Line, "%v", err)
 			}
 			if o.reg == immSub {
 				switch arg.Size {
