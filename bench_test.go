@@ -17,28 +17,30 @@ import (
 	"risc1/internal/vax"
 )
 
-// TestICacheDeterminism asserts the instruction cache's core invariant:
-// predecoding changes host speed only. Every simulated observable —
-// result, cycles, instruction counts, window and CPU stats, mixes,
-// call-depth histogram, data traffic — must be byte-identical with the
-// cache on and off.
+// TestICacheDeterminism asserts the predecoded instruction cache's core
+// invariant on every backend: predecoding changes host speed only.
+// Every simulated observable — result, cycles, instruction counts,
+// window and CPU stats, instruction-stream bytes, mixes, call-depth
+// histogram, data traffic — must be byte-identical with the cache on
+// and off.
 func TestICacheDeterminism(t *testing.T) {
-	risc1, _ := machine.Lookup("risc1")
-	for _, name := range []string{"hanoi", "ackermann", "sieve"} {
-		w, ok := bench.ByName(benchSuite, name)
-		if !ok {
-			t.Fatalf("no %s workload", name)
-		}
-		on, err := bench.RunOn(context.Background(), nil, risc1, w, machine.Options{DelaySlots: true, Opt: 1})
-		if err != nil {
-			t.Fatal(err)
-		}
-		off, err := bench.RunOn(context.Background(), nil, risc1, w, machine.Options{DelaySlots: true, Opt: 1, NoICache: true})
-		if err != nil {
-			t.Fatal(err)
-		}
-		if !reflect.DeepEqual(on, off) {
-			t.Errorf("%s: simulated results diverge with icache on/off:\non:  %+v\noff: %+v", name, on, off)
+	for _, b := range machine.Machines() {
+		for _, name := range []string{"hanoi", "ackermann", "sieve"} {
+			w, ok := bench.ByName(benchSuite, name)
+			if !ok {
+				t.Fatalf("no %s workload", name)
+			}
+			on, err := bench.RunOn(context.Background(), nil, b, w, machine.Options{DelaySlots: true, Opt: 1})
+			if err != nil {
+				t.Fatal(err)
+			}
+			off, err := bench.RunOn(context.Background(), nil, b, w, machine.Options{DelaySlots: true, Opt: 1, NoICache: true})
+			if err != nil {
+				t.Fatal(err)
+			}
+			if !reflect.DeepEqual(on, off) {
+				t.Errorf("%s/%s: simulated results diverge with icache on/off:\non:  %+v\noff: %+v", b.Name, name, on, off)
+			}
 		}
 	}
 }

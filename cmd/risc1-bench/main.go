@@ -10,7 +10,7 @@
 //	risc1-bench -scale small     # fast inputs
 //	risc1-bench -table size,time # only selected tables
 //	risc1-bench -fig windows     # only selected figures
-//	risc1-bench -nocache         # run the simulators without the icache
+//	risc1-bench -nocache         # run all three simulators without the icache
 //	risc1-bench -report out.json # machine-readable report of every run
 //	risc1-bench -O0              # compile the workloads unoptimized
 //	risc1-bench -parallel 8      # run the sweep on 8 workers
@@ -34,7 +34,7 @@ func main() {
 	scale := flag.String("scale", "paper", "workload scale: paper or small")
 	tables := flag.String("table", "", "comma-separated tables: instr,machines,suite,size,time,mix,ops,callcost,traffic (default all)")
 	figs := flag.String("fig", "", "comma-separated figures: windows,delayslots,depth,ablation (default all)")
-	noICache := flag.Bool("nocache", false, "disable the predecoded instruction cache (host speed only; simulated results are identical)")
+	noICache := flag.Bool("nocache", false, "disable the predecoded instruction cache of all three simulators; host speed only, simulated results are identical")
 	reportOut := flag.String("report", "", `write a machine-readable JSON bench report (one run report per workload and machine) to FILE ("-" = stdout)`)
 	opt := flag.Int("opt", 1, "MiniC optimization level, also spelled -O0/-O1")
 	parallel := flag.Int("parallel", runtime.GOMAXPROCS(0), "simulator workers for the sweeps; output is byte-identical at any setting")

@@ -39,7 +39,7 @@ func main() {
 	optimize := flag.Bool("O", false, "fill delayed-jump slots")
 	windows := flag.Int("windows", 0, "register windows (0 = the paper's 8)")
 	noWindows := flag.Bool("nowindows", false, "ablation: spill every call")
-	noICache := flag.Bool("nocache", false, "disable the predecoded instruction cache (host speed only; simulated results are identical)")
+	noICache := flag.Bool("nocache", false, "disable the predecoded instruction cache (internal/predecode); host speed only, simulated results are identical")
 	limit := flag.Uint64("limit", 0, "instruction limit (0 = default)")
 	printSyms := flag.String("print", "", "comma-separated globals to print as words after the run")
 	traceN := flag.Uint64("trace", 0, "print only the first N trace events (stdout unless -trace-out)")

@@ -262,17 +262,26 @@ func TestSessionBusy(t *testing.T) {
 	ts, _, _ := newTestServer(t, ServerConfig{})
 	id := createSession(t, ts, sessionRequest{Source: spinSrc, Fuel: 1 << 40})
 
+	// Commands take the session lock without queueing, so the probe
+	// steps below can hold it at the instant the run arrives; the run is
+	// then itself refused 409 session_busy and must be re-issued until
+	// it holds the lock, or no probe would ever see it busy.
 	runStatus := make(chan int, 1)
 	go func() {
 		body, _ := json.Marshal(commandRequest{Cmd: "run"})
-		resp, err := http.Post(ts.URL+"/v1/sessions/"+id, "application/json", strings.NewReader(string(body)))
-		if err != nil {
-			runStatus <- -1
-			return
+		for {
+			resp, err := http.Post(ts.URL+"/v1/sessions/"+id, "application/json", strings.NewReader(string(body)))
+			if err != nil {
+				runStatus <- -1
+				return
+			}
+			io.Copy(io.Discard, resp.Body)
+			resp.Body.Close()
+			if resp.StatusCode != http.StatusConflict {
+				runStatus <- resp.StatusCode
+				return
+			}
 		}
-		io.Copy(io.Discard, resp.Body)
-		resp.Body.Close()
-		runStatus <- resp.StatusCode
 	}()
 
 	// Wait for the run to hold the command lock.

@@ -48,7 +48,8 @@ type Run struct {
 var OptLevel = 1
 
 // NoICache globally disables the predecoded instruction cache in every
-// RISC run the harness makes — risc1-bench's -nocache escape hatch.
+// run the harness makes, on every backend — risc1-bench's -nocache
+// escape hatch.
 // Simulated cycles and statistics are identical either way; only host
 // speed changes.
 var NoICache bool

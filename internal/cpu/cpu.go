@@ -13,6 +13,7 @@ import (
 	"risc1/internal/isa"
 	"risc1/internal/mem"
 	"risc1/internal/obs"
+	"risc1/internal/predecode"
 	"risc1/internal/regfile"
 	"risc1/internal/trace"
 )
@@ -128,8 +129,20 @@ type CPU struct {
 
 	// icache is the predecoded instruction cache (nil with NoICache);
 	// stores invalidate it through the Memory.OnStore hook.
-	icache *icache
+	icache *predecode.Cache[decoded]
 }
+
+// decoded is one predecoded instruction: the architectural fields plus
+// the metadata execute() would otherwise re-derive every visit (the
+// per-opcode cycle cost and trace handle, resolved once).
+type decoded struct {
+	in     isa.Inst
+	cycles uint64
+	handle int
+}
+
+// ICacheStats counts predecoded-instruction-cache activity.
+type ICacheStats = predecode.Stats
 
 // New builds a CPU with zeroed memory and registers.
 func New(cfg Config) *CPU {
@@ -144,8 +157,8 @@ func New(cfg Config) *CPU {
 		c.opHandles[info.Op] = c.Trace.Handle(info.Name, info.Class.String())
 	}
 	if !cfg.NoICache {
-		c.icache = newICache(cfg.MemSize)
-		c.Mem.OnStore = c.icache.invalidate
+		c.icache = predecode.New[decoded](cfg.MemSize, 2, 0)
+		c.icache.Attach(c.Mem)
 	}
 	c.Driver = fuel.New("cpu", c, c.Trace, cfg.MaxInstructions)
 	c.resetState(0)
@@ -155,12 +168,7 @@ func New(cfg Config) *CPU {
 // ICacheStats reports instruction-cache activity (zero with NoICache).
 // It describes the simulator's host-speed machinery, not the simulated
 // machine: architectural cycle counts never depend on it.
-func (c *CPU) ICacheStats() ICacheStats {
-	if c.icache == nil {
-		return ICacheStats{}
-	}
-	return c.icache.stats
-}
+func (c *CPU) ICacheStats() ICacheStats { return c.icache.Stats() }
 
 // Config returns the configuration the CPU was built with (with defaults
 // filled in).
@@ -276,11 +284,11 @@ func (c *CPU) Step() {
 	// invalidated page, misaligned or out-of-range pc) falls through to
 	// the fetch+decode path, which raises exactly the faults it always
 	// did and refills the line on success.
-	if d := c.icache.lookup(c.pc); d != nil {
+	if d := c.icache.Lookup(c.pc); d != nil {
 		c.execute(d.in, d.cycles, d.handle)
 		return
 	}
-	c.icache.countMiss()
+	c.icache.CountMiss()
 	word, err := c.Mem.FetchWord(c.pc)
 	if err != nil {
 		c.fault(fmt.Errorf("cpu: fetch at %#08x: %w", c.pc, err))
@@ -293,7 +301,9 @@ func (c *CPU) Step() {
 	}
 	cycles := uint64(in.Op.Info().Cycles)
 	handle := c.opHandles[in.Op]
-	c.icache.fill(c.pc, in, cycles, handle)
+	if c.icache != nil { // keeps the -nocache path free of the out-of-line call
+		c.icache.Fill(c.pc, decoded{in: in, cycles: cycles, handle: handle})
+	}
 	c.execute(in, cycles, handle)
 }
 

@@ -147,3 +147,78 @@ func benchmarkStep(b *testing.B, noICache bool) {
 
 func BenchmarkStepICache(b *testing.B)  { benchmarkStep(b, false) }
 func BenchmarkStepNoCache(b *testing.B) { benchmarkStep(b, true) }
+
+// TestICacheCountersPinned pins the icache counters over the lifecycle a
+// pooled machine sees — reset and reload, snapshot restores of
+// different images, self-modifying stores, a fork — to the values the
+// drop-the-page cache produced before the cache moved to
+// internal/predecode: clearing pages in place must count exactly as
+// dropping them did.
+func TestICacheCountersPinned(t *testing.T) {
+	assemble := func(src string) *asm.Program {
+		t.Helper()
+		p, err := asm.Assemble(src, asm.Options{})
+		if err != nil {
+			t.Fatal(err)
+		}
+		return p
+	}
+	fib, snap, smc := assemble(fibSrc), assemble(snapSrc), assemble(selfModifyingSrc(t))
+	c := New(Config{Windows: 4})
+	var got []ICacheStats
+	record := func(c *CPU) {
+		s := c.ICacheStats()
+		s.Pages = 0 // not counted before the move
+		got = append(got, s)
+	}
+	var snaps []*Snapshot
+	for _, p := range []*asm.Program{fib, snap, smc} {
+		c.Reset(p.Entry)
+		if err := p.LoadInto(c.Mem); err != nil {
+			t.Fatal(err)
+		}
+		snaps = append(snaps, c.Snapshot())
+		if err := c.Run(); err != nil {
+			t.Fatal(err)
+		}
+		record(c)
+	}
+	for round := 0; round < 2; round++ {
+		for _, s := range snaps {
+			c.Restore(s)
+			if err := c.Run(); err != nil {
+				t.Fatal(err)
+			}
+			record(c)
+		}
+	}
+	c.Restore(snaps[0])
+	if _, err := c.RunSteps(50); err != nil {
+		t.Fatal(err)
+	}
+	f := c.Fork()
+	if err := f.Run(); err != nil {
+		t.Fatal(err)
+	}
+	record(f)
+	want := []ICacheStats{
+		{Hits: 4397, Misses: 21, Fills: 21, Invalidations: 0},
+		{Hits: 4709, Misses: 32, Fills: 32, Invalidations: 1},
+		{Hits: 4719, Misses: 47, Fills: 47, Invalidations: 5},
+		{Hits: 9116, Misses: 68, Fills: 68, Invalidations: 6},
+		{Hits: 9428, Misses: 79, Fills: 79, Invalidations: 7},
+		{Hits: 9438, Misses: 94, Fills: 94, Invalidations: 11},
+		{Hits: 13835, Misses: 115, Fills: 115, Invalidations: 12},
+		{Hits: 14147, Misses: 126, Fills: 126, Invalidations: 13},
+		{Hits: 14157, Misses: 141, Fills: 141, Invalidations: 17},
+		{Hits: 18554, Misses: 162, Fills: 162, Invalidations: 18},
+	}
+	if len(got) != len(want) {
+		t.Fatalf("recorded %d counter sets, want %d", len(got), len(want))
+	}
+	for i := range want {
+		if got[i] != want[i] {
+			t.Errorf("step %d: icache counters %+v, want %+v", i, got[i], want[i])
+		}
+	}
+}

@@ -61,7 +61,7 @@ func (c *CPU) BuildReport(workload string) obs.Report {
 		r.Ops = append(r.Ops, obs.MixEntry{Name: s.Name, Count: s.Count, Frac: s.Frac})
 	}
 	if c.icache != nil {
-		s := c.icache.stats
+		s := c.icache.Stats()
 		r.ICache = &obs.ICache{Hits: s.Hits, Misses: s.Misses, Fills: s.Fills, Invalidations: s.Invalidations}
 	}
 	return r

@@ -154,9 +154,6 @@ func (c *CPU) Fork() *CPU {
 		v := *c.pendingIRQ
 		n.pendingIRQ = &v
 	}
-	if c.icache != nil {
-		n.icache = c.icache.clone()
-		n.Mem.OnStore = n.icache.invalidate
-	}
+	n.icache = c.icache.Clone(n.Mem)
 	return n
 }

@@ -24,6 +24,7 @@ func (m ciscMachine) Registers() []uint32 {
 
 func (m ciscMachine) Snapshot() Snapshot { return ciscSnapshot{m.CPU.Snapshot()} }
 func (m ciscMachine) Restore(s Snapshot) { m.CPU.Restore(s.(ciscSnapshot).s) }
+func (m ciscMachine) Fork() Machine      { return ciscMachine{m.CPU.Fork()} }
 
 type ciscSnapshot struct{ s *vax.Snapshot }
 
@@ -33,7 +34,7 @@ func (s ciscSnapshot) Instructions() uint64 { return s.s.Instructions() }
 func (s ciscSnapshot) Release()             { s.s.Release() }
 
 func ciscConfig(o Options) vax.Config {
-	return vax.Config{MemSize: o.MemSize, MaxInstructions: o.Fuel}
+	return vax.Config{MemSize: o.MemSize, MaxInstructions: o.Fuel, NoICache: o.NoICache}
 }
 
 func init() {
@@ -54,7 +55,6 @@ func init() {
 			o.DelaySlots = false
 			o.Windows = 0
 			o.NoWindows = false
-			o.NoICache = false
 			return o
 		},
 	})

@@ -75,6 +75,10 @@ type Machine interface {
 	// condition.
 	Snapshot() Snapshot
 	Restore(s Snapshot)
+	// Fork returns an independent copy of the machine — memory shared
+	// copy-on-write, predecoded instructions cloned — that may run
+	// concurrently with the original. Observers are not carried over.
+	Fork() Machine
 }
 
 // Snapshot is a frozen machine state. Snapshots are immutable and may
@@ -147,8 +151,9 @@ type Options struct {
 	// machines.
 	Windows   int
 	NoWindows bool
-	// NoICache disables the RISC I simulator's predecoded instruction
-	// cache — host-speed machinery, never architectural state.
+	// NoICache disables the simulator's predecoded instruction cache
+	// (internal/predecode), on every backend — host-speed machinery,
+	// never architectural state.
 	NoICache bool
 	// MemSize is the simulated memory size in bytes; zero means the
 	// backend default (1 MiB).

@@ -13,12 +13,16 @@ import (
 	"context"
 	"errors"
 	"fmt"
+	"reflect"
 	"regexp"
+	"strings"
+	"sync"
 	"testing"
 	"time"
 
 	"risc1/internal/fuel"
 	"risc1/internal/machine"
+	"risc1/internal/predecode"
 )
 
 // src is the conformance workload: calls, a loop, and a global store,
@@ -50,6 +54,58 @@ int main() {
 	return 0;
 }
 `
+
+// fibSrc is a second, different program for the image-alternation
+// probe. It leaves 55 in result.
+const fibSrc = `
+int result;
+int fib(int n) { if (n < 2) return n; return fib(n - 1) + fib(n - 2); }
+int main() {
+	result = fib(10);
+	return 0;
+}
+`
+
+// smcSrc stores the low byte of val at the address patch between two
+// calls of f; with patch aimed into f, the second call runs patched
+// code. The host pokes both globals before the run.
+const smcSrc = `
+int result;
+char *patch;
+int val;
+int scratch;
+int f(int x) { return x + 3; }
+int main() {
+	int s;
+	s = f(1);
+	*patch = val;
+	s = s * 1000 + f(2);
+	result = s;
+	return 0;
+}
+`
+
+// faultSrc loads through bad, which the host aims outside memory, so
+// the run faults while evaluating an instruction's operands.
+const faultSrc = `
+int result;
+int *bad;
+int main() {
+	int a;
+	a = 5;
+	result = a + *bad;
+	return 0;
+}
+`
+
+// outcome is everything a run leaves observable.
+type outcome struct {
+	err, haltErr string
+	halted       bool
+	pc           uint32
+	regs         []uint32
+	report       []byte
+}
 
 // Run checks b against the backend contract.
 func Run(t *testing.T, b *machine.Backend) {
@@ -91,6 +147,29 @@ func Run(t *testing.T, b *machine.Backend) {
 			t.Fatalf("%s: report JSON: %v", b.Name, err)
 		}
 		return j
+	}
+
+	observe := func(t *testing.T, m machine.Machine, runErr error) outcome {
+		t.Helper()
+		o := outcome{pc: m.PC(), regs: m.Registers(), report: reportJSON(t, m)}
+		if runErr != nil {
+			o.err = runErr.Error()
+		}
+		var herr error
+		if o.halted, herr = m.Halted(); herr != nil {
+			o.haltErr = herr.Error()
+		}
+		return o
+	}
+	poke := func(t *testing.T, m machine.Machine, prog machine.Program, sym string, v uint32) {
+		t.Helper()
+		addr, ok := prog.Symbol(sym)
+		if !ok {
+			t.Fatalf("%s: program has no %s symbol", b.Name, sym)
+		}
+		if err := m.Mem().WriteBytes(addr, []byte{byte(v >> 24), byte(v >> 16), byte(v >> 8), byte(v)}); err != nil {
+			t.Fatalf("%s: poke %s: %v", b.Name, sym, err)
+		}
 	}
 
 	t.Run("determinism", func(t *testing.T) {
@@ -157,76 +236,82 @@ func Run(t *testing.T, b *machine.Backend) {
 		// budget fails with a wrapped fuel.ErrExhausted after exactly
 		// the budget's instructions — also when it is not a multiple of
 		// the context-check quantum — names the limit and the pc, and
-		// leaves the machine unhalted (inspectable).
-		spin := compile(t, spinSrc, machine.Options{})
-		exhausted := func(t *testing.T, m machine.Machine, err error, limit uint64) {
-			t.Helper()
-			if !errors.Is(err, fuel.ErrExhausted) {
-				t.Fatalf("%s: fuel %d: err = %v, want wrapped fuel.ErrExhausted", b.Name, limit, err)
-			}
-			if got := m.Instructions(); got != limit {
-				t.Errorf("%s: fuel %d: executed %d instructions", b.Name, limit, got)
-			}
-			msg := fmt.Sprintf(`^[a-z0-9]+: instruction limit exceeded: limit %d at pc %#08x$`, limit, m.PC())
-			if !regexp.MustCompile(msg).MatchString(err.Error()) {
-				t.Errorf("%s: fuel message %q, want %s", b.Name, err, msg)
-			}
-			if h, _ := m.Halted(); h {
-				t.Errorf("%s: fuel exhaustion halted the machine", b.Name)
-			}
-		}
-		for _, limit := range []uint64{64, fuel.Quantum + 37} {
-			m := b.New(machine.Options{Fuel: limit})
-			load(t, m, spin)
-			exhausted(t, m, m.RunContext(context.Background()), limit)
-		}
+		// leaves the machine unhalted (inspectable). The predecode
+		// cache must not move the stopping point by one instruction.
+		for _, mode := range cacheModes {
+			o := mode.opts
+			t.Run(mode.name, func(t *testing.T) {
+				spin := compile(t, spinSrc, o)
+				exhausted := func(t *testing.T, m machine.Machine, err error, limit uint64) {
+					t.Helper()
+					if !errors.Is(err, fuel.ErrExhausted) {
+						t.Fatalf("%s: fuel %d: err = %v, want wrapped fuel.ErrExhausted", b.Name, limit, err)
+					}
+					if got := m.Instructions(); got != limit {
+						t.Errorf("%s: fuel %d: executed %d instructions", b.Name, limit, got)
+					}
+					msg := fmt.Sprintf(`^[a-z0-9]+: instruction limit exceeded: limit %d at pc %#08x$`, limit, m.PC())
+					if !regexp.MustCompile(msg).MatchString(err.Error()) {
+						t.Errorf("%s: fuel message %q, want %s", b.Name, err, msg)
+					}
+					if h, _ := m.Halted(); h {
+						t.Errorf("%s: fuel exhaustion halted the machine", b.Name)
+					}
+				}
+				for _, limit := range []uint64{64, fuel.Quantum + 37} {
+					m := b.New(fueled(o, limit))
+					load(t, m, spin)
+					exhausted(t, m, m.RunContext(context.Background()), limit)
+				}
 
-		// RunSteps: a budget that ends on the limit is no error; the
-		// next instruction is. A budget across the limit stops at it.
-		m := b.New(machine.Options{Fuel: 64})
-		load(t, m, spin)
-		for _, n := range []uint64{40, 24} {
-			if halted, err := m.RunSteps(n); halted || err != nil {
-				t.Fatalf("%s: RunSteps(%d) = (%v, %v), want (false, nil)", b.Name, n, halted, err)
-			}
-		}
-		if got := m.Instructions(); got != 64 {
-			t.Fatalf("%s: RunSteps(40)+RunSteps(24) executed %d, want 64", b.Name, got)
-		}
-		_, err := m.RunSteps(1)
-		exhausted(t, m, err, 64)
-		m = b.New(machine.Options{Fuel: 64})
-		load(t, m, spin)
-		m.RunSteps(40)
-		_, err = m.RunSteps(40)
-		exhausted(t, m, err, 64)
+				// RunSteps: a budget that ends on the limit is no error; the
+				// next instruction is. A budget across the limit stops at it.
+				m := b.New(fueled(o, 64))
+				load(t, m, spin)
+				for _, n := range []uint64{40, 24} {
+					if halted, err := m.RunSteps(n); halted || err != nil {
+						t.Fatalf("%s: RunSteps(%d) = (%v, %v), want (false, nil)", b.Name, n, halted, err)
+					}
+				}
+				if got := m.Instructions(); got != 64 {
+					t.Fatalf("%s: RunSteps(40)+RunSteps(24) executed %d, want 64", b.Name, got)
+				}
+				_, err := m.RunSteps(1)
+				exhausted(t, m, err, 64)
+				m = b.New(fueled(o, 64))
+				load(t, m, spin)
+				m.RunSteps(40)
+				_, err = m.RunSteps(40)
+				exhausted(t, m, err, 64)
 
-		// SetMaxInstructions re-arms the budget on the same machine;
-		// zero restores the default (fuel_test pins its value).
-		m.SetMaxInstructions(100)
-		exhausted(t, m, m.RunContext(context.Background()), 100)
-		m.SetMaxInstructions(0)
-		if halted, err := m.RunSteps(fuel.Quantum); halted || err != nil {
-			t.Errorf("%s: after SetMaxInstructions(0): (%v, %v), want (false, nil)", b.Name, halted, err)
-		}
+				// SetMaxInstructions re-arms the budget on the same machine;
+				// zero restores the default (fuel_test pins its value).
+				m.SetMaxInstructions(100)
+				exhausted(t, m, m.RunContext(context.Background()), 100)
+				m.SetMaxInstructions(0)
+				if halted, err := m.RunSteps(fuel.Quantum); halted || err != nil {
+					t.Errorf("%s: after SetMaxInstructions(0): (%v, %v), want (false, nil)", b.Name, halted, err)
+				}
 
-		// A halt on the last unit of fuel is a clean halt; one unit
-		// less is exhaustion.
-		prog := compile(t, src, machine.Options{})
-		m = b.New(machine.Options{})
-		load(t, m, prog)
-		if err := m.RunContext(context.Background()); err != nil {
-			t.Fatalf("%s: run: %v", b.Name, err)
+				// A halt on the last unit of fuel is a clean halt; one unit
+				// less is exhaustion.
+				prog := compile(t, src, o)
+				m = b.New(o)
+				load(t, m, prog)
+				if err := m.RunContext(context.Background()); err != nil {
+					t.Fatalf("%s: run: %v", b.Name, err)
+				}
+				need := m.Instructions()
+				m = b.New(fueled(o, need))
+				load(t, m, prog)
+				if err := m.RunContext(context.Background()); err != nil {
+					t.Errorf("%s: halt on the last unit of fuel %d: %v", b.Name, need, err)
+				}
+				m = b.New(fueled(o, need-1))
+				load(t, m, prog)
+				exhausted(t, m, m.RunContext(context.Background()), need-1)
+			})
 		}
-		need := m.Instructions()
-		m = b.New(machine.Options{Fuel: need})
-		load(t, m, prog)
-		if err := m.RunContext(context.Background()); err != nil {
-			t.Errorf("%s: halt on the last unit of fuel %d: %v", b.Name, need, err)
-		}
-		m = b.New(machine.Options{Fuel: need - 1})
-		load(t, m, prog)
-		exhausted(t, m, m.RunContext(context.Background()), need-1)
 	})
 
 	t.Run("cancellation", func(t *testing.T) {
@@ -377,4 +462,166 @@ func Run(t *testing.T, b *machine.Backend) {
 			t.Errorf("%s: Normalize dropped a universal field: %+v", b.Name, n)
 		}
 	})
+
+	t.Run("icache-self-modifying", func(t *testing.T) {
+		// A guest store over code that already ran must reach that
+		// code's next execution. Patch each of f's first bytes in turn,
+		// with two values each: every outcome — result, fault, pc,
+		// registers, report — must be identical with the predecode
+		// cache on and off, and some patch must change the outcome, so
+		// the probe reaches patched code.
+		prog := compile(t, smcSrc, machine.Options{})
+		f, _ := prog.Symbol("f")
+		scratch, _ := prog.Symbol("scratch")
+		run := func(o machine.Options, at uint32, v byte) outcome {
+			m := b.New(fueled(o, 1<<16))
+			load(t, m, prog)
+			poke(t, m, prog, "patch", at)
+			poke(t, m, prog, "val", uint32(v))
+			return observe(t, m, m.RunContext(context.Background()))
+		}
+		base := run(machine.Options{}, scratch, 0)
+		m := b.New(machine.Options{})
+		load(t, m, prog)
+		code, err := m.Mem().ReadBytes(f, 24)
+		if err != nil {
+			t.Fatal(err)
+		}
+		changed := 0
+		for k, orig := range code {
+			for _, v := range []byte{orig ^ 0x01, orig ^ 0x40} {
+				on := run(cacheModes[0].opts, f+uint32(k), v)
+				off := run(cacheModes[1].opts, f+uint32(k), v)
+				if !reflect.DeepEqual(on, off) {
+					t.Errorf("%s: byte f+%d := %#02x: icache run (err %q, halt %q, pc %#x) differs from nocache (err %q, halt %q, pc %#x)",
+						b.Name, k, v, on.err, on.haltErr, on.pc, off.err, off.haltErr, off.pc)
+				}
+				if !reflect.DeepEqual(on, base) {
+					changed++
+				}
+			}
+		}
+		if changed == 0 {
+			t.Errorf("%s: no patch of f changed the run", b.Name)
+		}
+	})
+
+	t.Run("icache-load-fault", func(t *testing.T) {
+		// A load fault part-way through an instruction leaves the same
+		// fault text, pc, registers and report — instruction-stream
+		// byte count included — with the cache on and off.
+		prog := compile(t, faultSrc, machine.Options{})
+		var outs []outcome
+		for _, mode := range cacheModes {
+			m := b.New(mode.opts)
+			load(t, m, prog)
+			poke(t, m, prog, "bad", 0xfffffff0)
+			outs = append(outs, observe(t, m, m.RunContext(context.Background())))
+		}
+		if !strings.Contains(outs[0].haltErr, "address out of range") {
+			t.Errorf("%s: halt error %q, want a load fault", b.Name, outs[0].haltErr)
+		}
+		if !reflect.DeepEqual(outs[0], outs[1]) {
+			t.Errorf("%s: load fault differs: icache %q at pc %#x, nocache %q at pc %#x",
+				b.Name, outs[0].haltErr, outs[0].pc, outs[1].haltErr, outs[1].pc)
+		}
+	})
+
+	t.Run("icache-fork-concurrent", func(t *testing.T) {
+		// A fork taken mid-run from a warm machine, its predecoded code
+		// cloned, runs concurrently with its parent — the race detector
+		// watches the two caches — and both finish exactly like an
+		// uninterrupted run.
+		prog := compile(t, src, machine.Options{})
+		for _, mode := range cacheModes {
+			ref := b.New(mode.opts)
+			load(t, ref, prog)
+			whole := observe(t, ref, ref.RunContext(context.Background()))
+
+			m := b.New(mode.opts)
+			load(t, m, prog)
+			if _, err := m.RunSteps(40); err != nil {
+				t.Fatalf("%s: %v", b.Name, err)
+			}
+			ms := []machine.Machine{m, m.Fork()}
+			errs := make([]error, len(ms))
+			var wg sync.WaitGroup
+			for i, x := range ms {
+				wg.Add(1)
+				go func() {
+					defer wg.Done()
+					errs[i] = x.RunContext(context.Background())
+				}()
+			}
+			wg.Wait()
+			for i, x := range ms {
+				if got := observe(t, x, errs[i]); !reflect.DeepEqual(got, whole) {
+					t.Errorf("%s %s: machine %d of parent/fork diverged from the uninterrupted run (err %q)", b.Name, mode.name, i, got.err)
+				}
+				if got := result(t, x, prog); got != want {
+					t.Errorf("%s %s: machine %d result = %d, want %d", b.Name, mode.name, i, got, want)
+				}
+			}
+		}
+	})
+
+	t.Run("icache-restore-reuses-pages", func(t *testing.T) {
+		// A pooled worker restores a different warm image on almost
+		// every request. Restore clears predecoded pages in place, so
+		// once both images' code has run, alternating them allocates no
+		// further cache page; building an image, which never steps,
+		// allocates none at all.
+		type probe interface{ ICacheStats() predecode.Stats }
+		var snaps []machine.Snapshot
+		for _, source := range []string{src, fibSrc} {
+			prog := compile(t, source, machine.Options{})
+			scratch := b.New(machine.Options{})
+			load(t, scratch, prog)
+			p, ok := machine.Unwrap(scratch).(probe)
+			if !ok {
+				t.Skipf("%s: no predecode cache to probe", b.Name)
+			}
+			snap := scratch.Snapshot()
+			defer snap.Release()
+			if pages := p.ICacheStats().Pages; pages != 0 {
+				t.Errorf("%s: building an image allocated %d cache pages", b.Name, pages)
+			}
+			snaps = append(snaps, snap)
+		}
+		m := b.New(machine.Options{})
+		p := machine.Unwrap(m).(probe)
+		round := func() {
+			for _, s := range snaps {
+				m.Restore(s)
+				if err := m.RunContext(context.Background()); err != nil {
+					t.Fatalf("%s: run: %v", b.Name, err)
+				}
+			}
+		}
+		round()
+		before := p.ICacheStats()
+		for i := 0; i < 3; i++ {
+			round()
+		}
+		after := p.ICacheStats()
+		if after.Pages != before.Pages {
+			t.Errorf("%s: alternating two warm images grew the cache from %d to %d pages", b.Name, before.Pages, after.Pages)
+		}
+		if after.Fills <= before.Fills || after.Hits <= before.Hits {
+			t.Errorf("%s: cache not exercised across restores: %+v -> %+v", b.Name, before, after)
+		}
+	})
+}
+
+// cacheModes are the two settings of the host-side predecode cache;
+// every simulated observable must be identical under both.
+var cacheModes = []struct {
+	name string
+	opts machine.Options
+}{{"icache", machine.Options{}}, {"nocache", machine.Options{NoICache: true}}}
+
+// fueled returns o with the instruction budget n.
+func fueled(o machine.Options, n uint64) machine.Options {
+	o.Fuel = n
+	return o
 }

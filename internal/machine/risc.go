@@ -29,6 +29,7 @@ func (m riscMachine) Registers() []uint32 {
 
 func (m riscMachine) Snapshot() Snapshot { return riscSnapshot{m.CPU.Snapshot()} }
 func (m riscMachine) Restore(s Snapshot) { m.CPU.Restore(s.(riscSnapshot).s) }
+func (m riscMachine) Fork() Machine      { return riscMachine{m.CPU.Fork()} }
 
 type riscSnapshot struct{ s *cpu.Snapshot }
 

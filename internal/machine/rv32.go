@@ -25,6 +25,7 @@ func (m rv32Machine) Registers() []uint32 {
 
 func (m rv32Machine) Snapshot() Snapshot { return rv32Snapshot{m.CPU.Snapshot()} }
 func (m rv32Machine) Restore(s Snapshot) { m.CPU.Restore(s.(rv32Snapshot).s) }
+func (m rv32Machine) Fork() Machine      { return rv32Machine{m.CPU.Fork()} }
 
 type rv32Snapshot struct{ s *rv32.Snapshot }
 
@@ -34,7 +35,7 @@ func (s rv32Snapshot) Instructions() uint64 { return s.s.Instructions() }
 func (s rv32Snapshot) Release()             { s.s.Release() }
 
 func rv32Config(o Options) rv32.Config {
-	return rv32.Config{MemSize: o.MemSize, MaxInstructions: o.Fuel}
+	return rv32.Config{MemSize: o.MemSize, MaxInstructions: o.Fuel, NoICache: o.NoICache}
 }
 
 func init() {
@@ -55,7 +56,6 @@ func init() {
 			o.DelaySlots = false
 			o.Windows = 0
 			o.NoWindows = false
-			o.NoICache = false
 			return o
 		},
 	})

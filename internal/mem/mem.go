@@ -111,9 +111,10 @@ type Memory struct {
 	Stats Stats
 
 	// OnStore, when non-nil, is called after every successful mutation
-	// with the affected byte range [addr, addr+size). The RISC CPU hooks
-	// it to invalidate predecoded instructions when a store lands in
-	// cached code, so self-modifying programs stay correct. Reset,
+	// with the affected byte range [addr, addr+size). The predecoded
+	// instruction cache (internal/predecode) owns it on every simulator,
+	// invalidating decodes when a store lands in cached code, so
+	// self-modifying programs stay correct. Reset,
 	// Restore and WriteBytes report their full ranges too. The hook
 	// belongs to this Memory alone: Fork does not carry it over.
 	OnStore func(addr, size uint32)
@@ -325,8 +326,8 @@ func (m *Memory) ReadBytes(addr uint32, n int) ([]byte, error) {
 }
 
 // Reset zeroes all of memory and the statistics by releasing every page.
-// It fires OnStore for the full address range — the RISC CPU's
-// predecoded icache depends on that to drop stale decodes when a machine
+// It fires OnStore for the full address range — the predecoded
+// icache depends on that to drop stale decodes when a machine
 // is reset and reloaded with different code.
 func (m *Memory) Reset() {
 	for i, pg := range m.pages {

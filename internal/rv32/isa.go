@@ -313,7 +313,63 @@ func Encode(op Op, rd, rs1, rs2 uint8, imm int32) (uint32, error) {
 	return 0, fmt.Errorf("rv32: encode of %s: unknown format", info.Name)
 }
 
-// Decode unpacks a 32-bit word. Unknown encodings are an error.
+// Decode tables, indexed by funct3 and built from infos so the encoder
+// and the decoder read one source of truth. opInvalid marks an encoding
+// the subset does not define.
+var (
+	branchOps, loadOps, storeOps, opImmOps [8]Op
+	// shiftOps (OP-IMM shifts) and aluOps (OP) are indexed by funct7
+	// group first; see funct7Group.
+	shiftOps, aluOps [3][8]Op
+)
+
+// funct7Group maps the three funct7 values the subset uses to a table
+// row: base, alternate (sub/sra/srai) and the M extension.
+func funct7Group(f7 uint32) (int, bool) {
+	switch f7 {
+	case 0b0000000:
+		return 0, true
+	case 0b0100000:
+		return 1, true
+	case 0b0000001:
+		return 2, true
+	}
+	return 0, false
+}
+
+func init() {
+	for op := opInvalid + 1; op < numOps; op++ {
+		info := &infos[op]
+		g, _ := funct7Group(info.Funct7)
+		switch info.Opcode {
+		case opcBranch:
+			branchOps[info.Funct3] = op
+		case opcLoad:
+			loadOps[info.Funct3] = op
+		case opcStore:
+			storeOps[info.Funct3] = op
+		case opcOpImm:
+			if info.Fmt == FmtIS {
+				shiftOps[g][info.Funct3] = op
+			} else {
+				opImmOps[info.Funct3] = op
+			}
+		case opcOp:
+			aluOps[g][info.Funct3] = op
+		}
+	}
+}
+
+// The two SYSTEM words the subset defines; every other SYSTEM encoding
+// (CSR access, nonzero rd/rs1/funct3) is illegal.
+const (
+	wordECALL  = opcSystem
+	wordEBREAK = 1<<20 | opcSystem
+)
+
+// Decode unpacks a 32-bit word. Unknown encodings are an error. It is
+// table-driven and allocation-free on every legal word: the simulator
+// calls it on each predecode miss.
 func Decode(w uint32) (Inst, error) {
 	opc := w & 0x7f
 	rd := uint8(w >> 7 & 0x1f)
@@ -322,93 +378,54 @@ func Decode(w uint32) (Inst, error) {
 	rs2 := uint8(w >> 20 & 0x1f)
 	f7 := w >> 25 & 0x7f
 
-	immI := int32(w) >> 20
-	immS := int32(w)>>25<<5 | int32(w>>7&0x1f)
-	immB := int32(w)>>31<<12 | int32(w>>7&1)<<11 | int32(w>>25&0x3f)<<5 | int32(w>>8&0xf)<<1
-	immJ := int32(w)>>31<<20 | int32(w>>12&0xff)<<12 | int32(w>>20&1)<<11 | int32(w>>21&0x3ff)<<1
-
-	bad := func() (Inst, error) {
-		return Inst{}, fmt.Errorf("rv32: illegal instruction %#08x", w)
-	}
 	switch opc {
 	case opcLUI:
 		return Inst{Op: LUI, Rd: rd, Imm: int32(w >> 12)}, nil
 	case opcAUIPC:
 		return Inst{Op: AUIPC, Rd: rd, Imm: int32(w >> 12)}, nil
 	case opcJAL:
+		immJ := int32(w)>>31<<20 | int32(w>>12&0xff)<<12 | int32(w>>20&1)<<11 | int32(w>>21&0x3ff)<<1
 		return Inst{Op: JAL, Rd: rd, Imm: immJ}, nil
 	case opcJALR:
-		if f3 != 0 {
-			return bad()
+		if f3 == 0 {
+			return Inst{Op: JALR, Rd: rd, Rs1: rs1, Imm: int32(w) >> 20}, nil
 		}
-		return Inst{Op: JALR, Rd: rd, Rs1: rs1, Imm: immI}, nil
 	case opcBranch:
-		ops := map[uint32]Op{0b000: BEQ, 0b001: BNE, 0b100: BLT, 0b101: BGE, 0b110: BLTU, 0b111: BGEU}
-		op, ok := ops[f3]
-		if !ok {
-			return bad()
+		if op := branchOps[f3]; op != opInvalid {
+			immB := int32(w)>>31<<12 | int32(w>>7&1)<<11 | int32(w>>25&0x3f)<<5 | int32(w>>8&0xf)<<1
+			return Inst{Op: op, Rs1: rs1, Rs2: rs2, Imm: immB}, nil
 		}
-		return Inst{Op: op, Rs1: rs1, Rs2: rs2, Imm: immB}, nil
 	case opcLoad:
-		ops := map[uint32]Op{0b000: LB, 0b100: LBU, 0b010: LW}
-		op, ok := ops[f3]
-		if !ok {
-			return bad()
+		if op := loadOps[f3]; op != opInvalid {
+			return Inst{Op: op, Rd: rd, Rs1: rs1, Imm: int32(w) >> 20}, nil
 		}
-		return Inst{Op: op, Rd: rd, Rs1: rs1, Imm: immI}, nil
 	case opcStore:
-		ops := map[uint32]Op{0b000: SB, 0b010: SW}
-		op, ok := ops[f3]
-		if !ok {
-			return bad()
+		if op := storeOps[f3]; op != opInvalid {
+			immS := int32(w)>>25<<5 | int32(w>>7&0x1f)
+			return Inst{Op: op, Rs1: rs1, Rs2: rs2, Imm: immS}, nil
 		}
-		return Inst{Op: op, Rs1: rs1, Rs2: rs2, Imm: immS}, nil
 	case opcOpImm:
-		switch f3 {
-		case 0b001:
-			if f7 != 0 {
-				return bad()
-			}
-			return Inst{Op: SLLI, Rd: rd, Rs1: rs1, Imm: int32(rs2)}, nil
-		case 0b101:
-			switch f7 {
-			case 0b0000000:
-				return Inst{Op: SRLI, Rd: rd, Rs1: rs1, Imm: int32(rs2)}, nil
-			case 0b0100000:
-				return Inst{Op: SRAI, Rd: rd, Rs1: rs1, Imm: int32(rs2)}, nil
-			}
-			return bad()
+		if op := opImmOps[f3]; op != opInvalid {
+			return Inst{Op: op, Rd: rd, Rs1: rs1, Imm: int32(w) >> 20}, nil
 		}
-		ops := map[uint32]Op{0b000: ADDI, 0b010: SLTI, 0b011: SLTIU, 0b100: XORI, 0b110: ORI, 0b111: ANDI}
-		op, ok := ops[f3]
-		if !ok {
-			return bad()
+		if g, ok := funct7Group(f7); ok {
+			if op := shiftOps[g][f3]; op != opInvalid {
+				return Inst{Op: op, Rd: rd, Rs1: rs1, Imm: int32(rs2)}, nil
+			}
 		}
-		return Inst{Op: op, Rd: rd, Rs1: rs1, Imm: immI}, nil
 	case opcOp:
-		type key struct{ f3, f7 uint32 }
-		ops := map[key]Op{
-			{0b000, 0b0000000}: ADD, {0b000, 0b0100000}: SUB,
-			{0b001, 0b0000000}: SLL, {0b010, 0b0000000}: SLT,
-			{0b011, 0b0000000}: SLTU, {0b100, 0b0000000}: XOR,
-			{0b101, 0b0000000}: SRL, {0b101, 0b0100000}: SRA,
-			{0b110, 0b0000000}: OR, {0b111, 0b0000000}: AND,
-			{0b000, 0b0000001}: MUL, {0b100, 0b0000001}: DIV,
-			{0b110, 0b0000001}: REM,
+		if g, ok := funct7Group(f7); ok {
+			if op := aluOps[g][f3]; op != opInvalid {
+				return Inst{Op: op, Rd: rd, Rs1: rs1, Rs2: rs2}, nil
+			}
 		}
-		op, ok := ops[key{f3, f7}]
-		if !ok {
-			return bad()
-		}
-		return Inst{Op: op, Rd: rd, Rs1: rs1, Rs2: rs2}, nil
 	case opcSystem:
-		switch w >> 20 {
-		case 0:
+		switch w {
+		case wordECALL:
 			return Inst{Op: ECALL}, nil
-		case 1:
+		case wordEBREAK:
 			return Inst{Op: EBREAK}, nil
 		}
-		return bad()
 	}
-	return bad()
+	return Inst{}, fmt.Errorf("rv32: illegal instruction %#08x", w)
 }

@@ -7,6 +7,7 @@ import (
 	"risc1/internal/fuel"
 	"risc1/internal/mem"
 	"risc1/internal/obs"
+	"risc1/internal/predecode"
 	"risc1/internal/trace"
 )
 
@@ -19,6 +20,10 @@ type Config struct {
 	// MaxInstructions is the initial instruction budget, aborting
 	// runaway programs; zero means 2^32.
 	MaxInstructions uint64
+	// NoICache disables the predecoded instruction cache, forcing a
+	// fetch+decode from memory on every instruction. Simulated cycles
+	// and statistics are identical either way by construction.
+	NoICache bool
 }
 
 func (c Config) withDefaults() Config {
@@ -71,6 +76,10 @@ type CPU struct {
 	obsTarget  uint32
 
 	opHandles [numOps]int // trace handles indexed by opcode
+
+	// icache holds decoded instructions by word address (nil with
+	// NoICache); stores invalidate it through the Memory.OnStore hook.
+	icache *predecode.Cache[Inst]
 }
 
 const (
@@ -85,6 +94,10 @@ func New(cfg Config) *CPU {
 	c := &CPU{cfg: cfg, Mem: mem.New(cfg.MemSize), Trace: trace.New()}
 	for _, info := range Instructions() {
 		c.opHandles[info.Op] = c.Trace.Handle(info.Name, info.Class)
+	}
+	if !cfg.NoICache {
+		c.icache = predecode.New[Inst](cfg.MemSize, 2, 0)
+		c.icache.Attach(c.Mem)
 	}
 	c.Driver = fuel.New("rv32", c, c.Trace, cfg.MaxInstructions)
 	c.resetState(0)
@@ -193,15 +206,21 @@ func (c *CPU) Step() {
 		return
 	}
 	pcStart := c.pc
-	w, err := c.Mem.FetchWord(c.pc)
-	if err != nil {
-		c.fault(fmt.Errorf("rv32: fetch at %#08x: %w", c.pc, err))
-		return
-	}
-	in, err := Decode(w)
-	if err != nil {
-		c.fault(fmt.Errorf("rv32: at %#08x: %w", c.pc, err))
-		return
+	var in Inst
+	if d := c.icache.Lookup(c.pc); d != nil {
+		in = *d
+	} else {
+		c.icache.CountMiss()
+		w, err := c.Mem.FetchWord(c.pc)
+		if err != nil {
+			c.fault(fmt.Errorf("rv32: fetch at %#08x: %w", c.pc, err))
+			return
+		}
+		if in, err = Decode(w); err != nil {
+			c.fault(fmt.Errorf("rv32: at %#08x: %w", c.pc, err))
+			return
+		}
+		c.icache.Fill(c.pc, in)
 	}
 
 	cycles := uint64(costBase)
@@ -418,6 +437,11 @@ func (c *CPU) callLeave(target uint32) {
 		c.obsTarget = target
 	}
 }
+
+// ICacheStats reports predecode-cache activity (zero with NoICache):
+// host-speed machinery, never part of the simulated machine or its
+// report.
+func (c *CPU) ICacheStats() predecode.Stats { return c.icache.Stats() }
 
 // Micros converts cycles to microseconds at the machine's cycle time.
 func (c *CPU) Micros() float64 {

@@ -360,10 +360,19 @@ func TestBusyAndClosed(t *testing.T) {
 	closes := 0
 	s.OnClose = func() { closes++ }
 
+	// Commands TryLock, so the probe steps below can hold the lock at
+	// the instant the run starts; the run is then itself refused
+	// ErrBusy and must start again until it holds the lock, or no probe
+	// would ever see it busy.
 	runDone := make(chan error, 1)
 	go func() {
-		_, err := s.Run(context.Background(), 0)
-		runDone <- err
+		for {
+			_, err := s.Run(context.Background(), 0)
+			if !errors.Is(err, ErrBusy) {
+				runDone <- err
+				return
+			}
+		}
 	}()
 
 	// Wait until the run actually holds the command lock.

@@ -7,6 +7,7 @@ import (
 	"risc1/internal/fuel"
 	"risc1/internal/mem"
 	"risc1/internal/obs"
+	"risc1/internal/predecode"
 	"risc1/internal/trace"
 )
 
@@ -19,6 +20,10 @@ type Config struct {
 	// MaxInstructions is the initial instruction budget, aborting
 	// runaway programs; zero means 2^32.
 	MaxInstructions uint64
+	// NoICache disables the predecoded instruction cache, forcing every
+	// instruction through the bytewise fetch path. Simulated cycles,
+	// statistics and faults are identical either way by construction.
+	NoICache bool
 }
 
 func (c Config) withDefaults() Config {
@@ -75,6 +80,12 @@ type CPU struct {
 	obsTarget  uint32
 
 	opHandles [numOps]int // trace handles indexed by opcode
+
+	// icache holds the static decode of each instruction by its first
+	// byte (nil with NoICache); stores invalidate it through the
+	// Memory.OnStore hook, reaching back MaxInstLen-1 bytes so a store
+	// into any byte of a cached instruction drops it.
+	icache *predecode.Cache[predecoded]
 }
 
 const (
@@ -89,6 +100,10 @@ func New(cfg Config) *CPU {
 	c := &CPU{cfg: cfg, Mem: mem.New(cfg.MemSize), Trace: trace.New()}
 	for _, info := range Instructions() {
 		c.opHandles[info.Op] = c.Trace.Handle(info.Name, info.Class)
+	}
+	if !cfg.NoICache {
+		c.icache = predecode.New[predecoded](cfg.MemSize, 0, uint32(MaxInstLen-1))
+		c.icache.Attach(c.Mem)
 	}
 	c.Driver = fuel.New("vax", c, c.Trace, cfg.MaxInstructions)
 	c.resetState(0)
@@ -188,10 +203,10 @@ func (c *CPU) observe(pcStart uint32, name string, cost uint64) {
 	c.obsPending = obsPendingNone
 }
 
-// disasmWindow bounds a read of one variable-length instruction: the
-// longest encodable form fits in 16 bytes.
+// disasmWindow bounds a read of one variable-length instruction to the
+// longest encodable form.
 func disasmWindow(memSize int, pc uint32) int {
-	n := 16
+	n := MaxInstLen
 	if rest := memSize - int(pc); rest < n {
 		n = rest
 	}
@@ -306,6 +321,13 @@ func (c *CPU) decodeOperand(arg Arg, cycles *uint64) (operand, bool) {
 		return operand{}, false
 	}
 
+	return c.memOperand(arg, addr, cycles)
+}
+
+// memOperand finishes a memory operand at its effective address:
+// reads and read-modify-writes load the value now, charging the memory
+// round trip; a fault names the pc just past the operand's bytes.
+func (c *CPU) memOperand(arg Arg, addr uint32, cycles *uint64) (operand, bool) {
 	o := operand{loc: location{addr: addr}, hasLoc: true}
 	if arg.Kind == ArgAddr {
 		return o, true // effective address only; no memory access
@@ -417,10 +439,26 @@ func (c *CPU) pop(cycles *uint64) (uint32, bool) {
 	return v, true
 }
 
-// Step executes one instruction.
+// Step executes one instruction. With the icache on, an instruction
+// whose static decode succeeds runs from its predecoded record
+// (stepDecoded); one whose decode would fault, and every instruction
+// with NoICache, runs on the bytewise fetch path below, which raises
+// each fault at the byte it always did.
 func (c *CPU) Step() {
 	if c.halted {
 		return
+	}
+	if d := c.icache.Lookup(c.pc); d != nil {
+		c.stepDecoded(d)
+		return
+	}
+	c.icache.CountMiss()
+	if c.icache != nil {
+		if d, ok := c.decodeStatic(c.pc); ok {
+			c.icache.Fill(c.pc, d)
+			c.stepDecoded(&d)
+			return
+		}
 	}
 	pcStart := c.pc
 	opb, ok := c.fetchByte()
@@ -459,7 +497,7 @@ func (c *CPU) Step() {
 		nops++
 	}
 
-	if !c.exec(op, info, opsBuf[:nops], brDisp, &cycles) {
+	if !c.exec(op, &info, opsBuf[:nops], brDisp, &cycles) {
 		return
 	}
 	if c.Obs != nil {
@@ -468,7 +506,7 @@ func (c *CPU) Step() {
 	c.Trace.ExecHandle(c.opHandles[op], cycles)
 }
 
-func (c *CPU) exec(op Op, info Info, ops []operand, brDisp int32, cycles *uint64) bool {
+func (c *CPU) exec(op Op, info *Info, ops []operand, brDisp int32, cycles *uint64) bool {
 	switch op {
 	case HALT:
 		c.halted = true
@@ -790,6 +828,11 @@ func (c *CPU) ret(cycles *uint64) bool {
 	c.Stats.CallMemWords += 5 + uint64(bits.OnesCount16(uint16(mask)))
 	return true
 }
+
+// ICacheStats reports predecode-cache activity (zero with NoICache):
+// host-speed machinery, never part of the simulated machine or its
+// report.
+func (c *CPU) ICacheStats() predecode.Stats { return c.icache.Stats() }
 
 // Micros converts cycles to microseconds at the baseline's 200 ns cycle.
 func (c *CPU) Micros() float64 {

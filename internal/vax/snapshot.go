@@ -33,9 +33,11 @@ func (s *Snapshot) MemPages() int { return s.mem.Pages() }
 // Instructions returns the snapshotted instruction count.
 func (s *Snapshot) Instructions() uint64 { return s.tr.Instructions }
 
-// compatible ignores the instruction budget, which is per-run state.
+// compatible ignores the instruction budget, which is per-run state,
+// and the host-side icache switch.
 func compatible(a, b Config) bool {
 	a.MaxInstructions, b.MaxInstructions = 0, 0
+	a.NoICache, b.NoICache = false, false
 	return a == b
 }
 
@@ -85,7 +87,8 @@ func (c *CPU) Restore(s *Snapshot) {
 func (s *Snapshot) Release() { s.mem.Release() }
 
 // Fork returns an independent copy of the machine with memory shared
-// copy-on-write and registers, flags and statistics copied. Observers
+// copy-on-write, registers, flags and statistics copied, and the
+// predecoded icache cloned with its own invalidation hook. Observers
 // are not carried over. Parent and fork may then run concurrently.
 func (c *CPU) Fork() *CPU {
 	n := &CPU{
@@ -105,5 +108,6 @@ func (c *CPU) Fork() *CPU {
 		opHandles: c.opHandles,
 	}
 	n.Driver = c.Rebind(n, n.Trace)
+	n.icache = c.icache.Clone(n.Mem)
 	return n
 }
