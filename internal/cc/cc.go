@@ -9,15 +9,15 @@ import (
 )
 
 // Options selects how a MiniC compilation runs. The same machine-
-// independent pipeline feeds both code generators, so Opt means the
-// same thing for either target.
+// independent pipeline feeds all three code generators, so Opt means
+// the same thing for every target.
 type Options struct {
 	// Opt is the optimization level: 0 compiles the naive lowering
 	// as-is, 1 runs the full machine-independent pass pipeline.
 	Opt int
-	// DelaySlots enables the RISC assembler's delayed-jump optimizer,
+	// DelaySlots enables the RISC I assembler's delayed-jump optimizer,
 	// which fills branch shadow slots as the paper's tool chain did.
-	// Ignored by the CISC target.
+	// Ignored by the CISC and RV32 targets, which have no delay slots.
 	DelaySlots bool
 }
 
@@ -26,8 +26,8 @@ type Options struct {
 var DefaultOptions = Options{Opt: 1, DelaySlots: true}
 
 // Frontend runs the machine-independent half of the compiler: parse,
-// type check, lower to IR, and optimize at the given level. Both code
-// generators consume its output. The returned stats report how many
+// type check, lower to IR, and optimize at the given level. All three
+// code generators consume its output. The returned stats report how many
 // rewrites each optimization pass performed.
 func Frontend(src string, optLevel int) (*ir.Program, []opt.Stat, error) {
 	ast, err := Parse(src)
@@ -42,59 +42,45 @@ func Frontend(src string, optLevel int) (*ir.Program, []opt.Stat, error) {
 	return prog, stats, nil
 }
 
+// compile runs the frontend, one code generator and its assembler. The
+// generated text is returned whenever generation succeeded, and the
+// pass statistics whenever the frontend did.
+func compile[P any](src string, o Options, gen func(*ir.Program) (string, error), assemble func(string) (P, error)) (P, string, []opt.Stat, error) {
+	var none P
+	prog, stats, err := Frontend(src, o.Opt)
+	if err != nil {
+		return none, "", nil, err
+	}
+	text, err := gen(prog)
+	if err != nil {
+		return none, "", stats, err
+	}
+	p, err := assemble(text)
+	if err != nil {
+		return none, text, stats, err
+	}
+	return p, text, stats, nil
+}
+
 // CompileRISC compiles MiniC source to an assembled RISC I program.
 // The generated assembly text is returned alongside the program for
 // listings and debugging, and the pass statistics for reports.
 func CompileRISC(src string, o Options) (*asm.Program, string, []opt.Stat, error) {
-	prog, stats, err := Frontend(src, o.Opt)
-	if err != nil {
-		return nil, "", nil, err
-	}
-	text, err := GenRISC(prog)
-	if err != nil {
-		return nil, "", stats, err
-	}
-	p, err := asm.Assemble(text, asm.Options{Optimize: o.DelaySlots})
-	if err != nil {
-		return nil, text, stats, err
-	}
-	return p, text, stats, nil
+	return compile(src, o, GenRISC, func(text string) (*asm.Program, error) {
+		return asm.Assemble(text, asm.Options{Optimize: o.DelaySlots})
+	})
 }
 
 // CompileVAX compiles MiniC source to an assembled program for the
 // CISC baseline.
 func CompileVAX(src string, o Options) (*vax.Program, string, []opt.Stat, error) {
-	prog, stats, err := Frontend(src, o.Opt)
-	if err != nil {
-		return nil, "", nil, err
-	}
-	text, err := GenVAX(prog)
-	if err != nil {
-		return nil, "", stats, err
-	}
-	p, err := vax.Assemble(text)
-	if err != nil {
-		return nil, text, stats, err
-	}
-	return p, text, stats, nil
+	return compile(src, o, GenVAX, vax.Assemble)
 }
 
 // CompileRV32 compiles MiniC source to an assembled program for the
 // modern delay-slot-free RISC machine.
 func CompileRV32(src string, o Options) (*rv32.Program, string, []opt.Stat, error) {
-	prog, stats, err := Frontend(src, o.Opt)
-	if err != nil {
-		return nil, "", nil, err
-	}
-	text, err := GenRV32(prog)
-	if err != nil {
-		return nil, text, stats, err
-	}
-	p, err := rv32.Assemble(text)
-	if err != nil {
-		return nil, text, stats, err
-	}
-	return p, text, stats, nil
+	return compile(src, o, GenRV32, rv32.Assemble)
 }
 
 // NormalizeOptFlags rewrites the conventional -O0/-O1 spellings into

@@ -501,6 +501,46 @@ func TestTooManyRISCParams(t *testing.T) {
 	if _, _, _, err := CompileVAX(src, Options{}); err != nil {
 		t.Errorf("vax should accept 7 params: %v", err)
 	}
+	// RV32 rejects the callee when it comes first, the call site when
+	// the caller does.
+	if _, _, _, err := CompileRV32(src, Options{}); err == nil ||
+		err.Error() != `cc: line 1: "f": the RV32 convention passes at most 6 register parameters` {
+		t.Errorf("rv32 callee-first: got %v", err)
+	}
+	callerFirst := "int f(int a, int b, int c, int d, int e, int g, int h);\n" +
+		"int main() { return f(1,2,3,4,5,6,7); }\n" +
+		"int f(int a, int b, int c, int d, int e, int g, int h) { return a; }"
+	if _, _, _, err := CompileRV32(callerFirst, Options{}); err == nil ||
+		err.Error() != `cc: line 2: call "f": at most 6 register arguments` {
+		t.Errorf("rv32 caller-first: got %v", err)
+	}
+}
+
+// TestAddressOfParam takes the address of a scalar parameter. CISC
+// parameters live on the stack and RV32 homes an addressed parameter
+// in its frame, so both compute the answer; RISC I parameters live in
+// window registers, which have no address.
+func TestAddressOfParam(t *testing.T) {
+	src := `int result;
+int f(int a, int p) {
+	int *q;
+	q = &p;
+	*q = *q + a;
+	return p;
+}
+int main() { result = f(1, 41); return 0; }`
+	for _, lvl := range []int{0, 1} {
+		if got := vaxGlobal(t, runVAXsrc(t, src, Options{Opt: lvl}), "result"); got != 42 {
+			t.Errorf("vax -O%d result = %d, want 42", lvl, got)
+		}
+		if got := rv32Global(t, runRV32src(t, src, Options{Opt: lvl}), "result"); got != 42 {
+			t.Errorf("rv32 -O%d result = %d, want 42", lvl, got)
+		}
+		_, _, _, err := CompileRISC(src, Options{Opt: lvl})
+		if want := `cc: line 4: cannot take the address of register parameter "p"`; err == nil || err.Error() != want {
+			t.Errorf("risc -O%d: got %v, want %s", lvl, err, want)
+		}
+	}
 }
 
 func TestWindowStatsFromCompiledCode(t *testing.T) {

@@ -8,16 +8,17 @@ import (
 
 	"risc1/internal/cc/progen"
 	"risc1/internal/cpu"
+	"risc1/internal/rv32"
 	"risc1/internal/vax"
 )
 
 // The differential fuzz tests draw random well-typed MiniC programs
 // from the shared corpus generator (internal/cc/progen), evaluate them
-// in Go with int32 semantics, and check that both code generators (and
-// the delay-slot optimizer) compute the same value on their simulators.
-// This is the strongest single correctness property in the repository:
-// it exercises the parser, checker, both code generators, both
-// assemblers, both simulators, and the RISC multiply/divide runtime
+// in Go with int32 semantics, and check that all three code generators
+// (and the delay-slot optimizer) compute the same value on their
+// simulators. This is the strongest single correctness property in the
+// repository: it exercises the parser, checker, every code generator,
+// assembler and simulator, and the RISC multiply/divide runtime
 // together. The same generator feeds internal/exec's pool-level
 // differential test, which re-checks the property under concurrency.
 
@@ -65,28 +66,45 @@ func runVaxResult(src string, o Options) (int32, error) {
 	return int32(v), err
 }
 
+func runRV32Result(src string, o Options) (int32, error) {
+	prog, text, _, err := CompileRV32(src, o)
+	if err != nil {
+		return 0, fmt.Errorf("%w\n%s", err, text)
+	}
+	c := rv32.New(rv32.Config{})
+	c.Reset(prog.Entry)
+	if err := prog.LoadInto(c.Mem); err != nil {
+		return 0, err
+	}
+	if err := c.Run(); err != nil {
+		return 0, fmt.Errorf("%w\n%s", err, text)
+	}
+	addr, _ := prog.Symbol("result")
+	v, err := c.Mem.LoadWord(addr)
+	return int32(v), err
+}
+
+// fuzzMachines are the simulators every generated program runs on.
+var fuzzMachines = []struct {
+	name string
+	run  func(src string, o Options) (int32, error)
+}{{"risc", runRiscResult}, {"vax", runVaxResult}, {"rv32", runRV32Result}}
+
 // checkDifferential runs one generated program through every
 // (machine, options) corner and reports the first disagreement.
 func checkDifferential(t *testing.T, seed int64, src string, want int32) bool {
 	t.Helper()
 	for _, o := range fuzzOptions {
-		got, err := runRiscResult(src, o)
-		if err != nil {
-			t.Logf("seed %d risc (%+v): %v\nsource:%s", seed, o, err, src)
-			return false
-		}
-		if got != want {
-			t.Logf("seed %d risc (%+v): got %d, want %d\nsource:%s", seed, o, got, want, src)
-			return false
-		}
-		got, err = runVaxResult(src, o)
-		if err != nil {
-			t.Logf("seed %d vax (%+v): %v\nsource:%s", seed, o, err, src)
-			return false
-		}
-		if got != want {
-			t.Logf("seed %d vax (%+v): got %d, want %d\nsource:%s", seed, o, got, want, src)
-			return false
+		for _, m := range fuzzMachines {
+			got, err := m.run(src, o)
+			if err != nil {
+				t.Logf("seed %d %s (%+v): %v\nsource:%s", seed, m.name, o, err, src)
+				return false
+			}
+			if got != want {
+				t.Logf("seed %d %s (%+v): got %d, want %d\nsource:%s", seed, m.name, o, got, want, src)
+				return false
+			}
 		}
 	}
 	return true
@@ -126,8 +144,8 @@ func TestStatementFuzz(t *testing.T) {
 }
 
 // TestCallFuzz drives the call-heavy corpus: random recursive programs
-// that exercise the register-window machinery on the RISC side and the
-// CALLS/RET frames on the baseline.
+// that exercise the register-window machinery on the RISC side, the
+// CALLS/RET frames on the baseline and the saved s-registers on RV32.
 func TestCallFuzz(t *testing.T) {
 	count := 30
 	if testing.Short() {

@@ -1,11 +1,6 @@
 package cc
 
-import (
-	"fmt"
-	"strings"
-
-	"risc1/internal/cc/ir"
-)
+import "risc1/internal/cc/ir"
 
 // RISC I code generation conventions (register windows, cf. DESIGN.md):
 //
@@ -43,10 +38,30 @@ const (
 // temporaries; register variables take at most the rest.
 const minScratch = 4
 
+// riscTarget spells the RISC I side of the shared load/store core.
+var riscTarget = lsTarget{
+	regs:     0,
+	base:     1,
+	scratch1: riscScratchPtr,
+	scratch2: riscScratch2,
+	argBase:  riscArgBase,
+	immOK:    immOK,
+	load:     [2]string{"ldl", "ldbu"},
+	store:    [2]string{"stl", "stb"},
+	mov:      "mov",
+	la:       "li",
+	addi:     "add",
+	mem:      "%s %s, %s, %d",
+	addBase:  "add %[1]s, %[2]s, %[1]s",
+	neg:      "subr %s, %s, 0",
+	com:      "xor %s, %s, -1",
+	callNop:  true,
+}
+
 // GenRISC compiles a lowered (and possibly optimized) IR program to
 // RISC I assembly text.
 func GenRISC(prog *ir.Program) (string, error) {
-	g := &rgen{prog: prog}
+	g := &rgen{lsgen: lsgen{asmOut: asmOut{prog: prog}, t: &riscTarget}}
 	g.emitBootstrap()
 	for _, fn := range prog.Funcs {
 		if err := g.genFunc(fn); err != nil {
@@ -59,35 +74,14 @@ func GenRISC(prog *ir.Program) (string, error) {
 	if g.usesDiv {
 		g.raw(riscDivRuntime)
 	}
-	g.emitData()
+	g.emitData(";")
 	return g.b.String(), nil
 }
 
 type rgen struct {
-	prog *ir.Program
-	b    strings.Builder
-
-	fn        *ir.Func
-	alloc     allocation
-	varReg    map[*ir.Var]int // register-resident variables
-	frameOff  map[*ir.Var]int // memory-resident locals (r1-relative)
-	frameMem  int             // bytes of arrays + addressed locals
-	frameSize int             // frameMem + spill slots
-
+	lsgen
 	usesMul bool
 	usesDiv bool
-}
-
-func (g *rgen) raw(s string) { g.b.WriteString(s) }
-
-func (g *rgen) emit(format string, args ...any) {
-	fmt.Fprintf(&g.b, "\t"+format+"\n", args...)
-}
-
-func (g *rgen) label(l string) { fmt.Fprintf(&g.b, "%s:\n", l) }
-
-func (g *rgen) blockLabel(b *ir.Block) string {
-	return fmt.Sprintf(".L%s_%s", g.fn.Name, b.Name)
 }
 
 func (g *rgen) emitBootstrap() {
@@ -101,40 +95,16 @@ func (g *rgen) emitBootstrap() {
 	g.emit("nop")
 }
 
-func storeOp(char bool) string {
-	if char {
-		return "stb"
-	}
-	return "stl"
-}
-
-func loadOp(char bool) string {
-	if char {
-		return "ldbu"
-	}
-	return "ldl"
-}
-
-// memChar reports whether a variable is a one-byte memory cell: stores
-// truncate and loads zero-extend. Register-resident char locals and
-// char parameters hold full words on both backends.
-func (g *rgen) memChar(v *ir.Var) bool {
-	_, inReg := g.varReg[v]
-	return v.Char && !inReg && v.Kind != ir.VarParam
-}
-
 func (g *rgen) genFunc(fn *ir.Func) error {
 	if len(fn.Params) > riscMaxParams {
 		return errf(fn.Line, "%q: RISC I passes at most %d register parameters", fn.Name, riscMaxParams)
 	}
 	g.fn = fn
-	g.varReg = make(map[*ir.Var]int)
-	g.frameOff = make(map[*ir.Var]int)
+	g.reset()
 
+	// Parameters stay in their window registers, so their address
+	// cannot be taken.
 	for _, p := range fn.Params {
-		if p.Addressed {
-			return errf(fn.Line, "%q: cannot take the address of a register parameter", p.Name)
-		}
 		g.varReg[p] = riscParamBase + p.ParamSlot
 	}
 
@@ -167,131 +137,7 @@ func (g *rgen) genFunc(fn *ir.Func) error {
 	if g.frameSize > 0 {
 		g.emit("sub r1, r1, %d\t; frame for arrays/spilled locals", g.frameSize)
 	}
-	for i, b := range g.fn.Blocks {
-		g.label(g.blockLabel(b))
-		for k := range b.Instrs {
-			if err := g.instr(&b.Instrs[k]); err != nil {
-				return err
-			}
-		}
-		var next *ir.Block
-		if i+1 < len(g.fn.Blocks) {
-			next = g.fn.Blocks[i+1]
-		}
-		g.term(&b.Term, next)
-	}
-	return nil
-}
-
-// spillOff returns the r1-relative frame offset of a spill slot.
-func (g *rgen) spillOff(slot int) int { return g.frameMem + 4*slot }
-
-// regOf returns the register already holding a value, if any.
-func (g *rgen) regOf(v ir.Value) (int, bool) {
-	switch v.Kind {
-	case ir.ValConst:
-		if v.C == 0 {
-			return 0, true
-		}
-	case ir.ValTemp:
-		if l := g.alloc.loc[v.Temp]; l.reg >= 0 {
-			return l.reg, true
-		}
-	case ir.ValVar:
-		if r, ok := g.varReg[v.Var]; ok {
-			return r, true
-		}
-	}
-	return 0, false
-}
-
-// frameAccess emits a load or store of a frame cell, forming the
-// address through r9 when the offset exceeds the immediate field.
-func (g *rgen) frameAccess(op string, reg, off int) {
-	if off <= 4095 {
-		g.emit("%s r%d, r1, %d", op, reg, off)
-		return
-	}
-	g.emit("li r%d, %d", riscScratch2, off)
-	g.emit("add r%d, r1, r%d", riscScratch2, riscScratch2)
-	g.emit("%s r%d, r%d, 0", op, reg, riscScratch2)
-}
-
-// loadInto materializes a value in the given register.
-func (g *rgen) loadInto(v ir.Value, rd int) {
-	switch v.Kind {
-	case ir.ValConst:
-		g.emit("li r%d, %d", rd, v.C)
-	case ir.ValTemp:
-		if l := g.alloc.loc[v.Temp]; l.reg >= 0 {
-			if l.reg != rd {
-				g.emit("mov r%d, r%d", rd, l.reg)
-			}
-		} else {
-			g.frameAccess("ldl", rd, g.spillOff(l.slot))
-		}
-	case ir.ValVar:
-		vr := v.Var
-		if r, ok := g.varReg[vr]; ok {
-			if r != rd {
-				g.emit("mov r%d, r%d", rd, r)
-			}
-			return
-		}
-		if vr.Kind == ir.VarGlobal {
-			g.emit("li r%d, %s", rd, vr.Name)
-			g.emit("%s r%d, r%d, 0", loadOp(vr.Char), rd, rd)
-		} else {
-			g.frameAccess(loadOp(g.memChar(vr)), rd, g.frameOff[vr])
-		}
-	}
-}
-
-// readVal returns a register holding the value, loading into the given
-// scratch register when it has no home of its own.
-func (g *rgen) readVal(v ir.Value, scratch int) int {
-	if r, ok := g.regOf(v); ok {
-		return r
-	}
-	g.loadInto(v, scratch)
-	return scratch
-}
-
-// dstReg picks the register an instruction should compute into; store
-// reports whether writeBack must follow.
-func (g *rgen) dstReg(d ir.Value) (reg int, store bool) {
-	if r, ok := g.regOf(d); ok && d.Kind != ir.ValConst {
-		return r, false
-	}
-	return riscScratchPtr, true
-}
-
-// writeBack stores a computed value to a spilled temporary or a
-// memory-resident variable.
-func (g *rgen) writeBack(d ir.Value, r int) {
-	switch d.Kind {
-	case ir.ValTemp:
-		g.frameAccess("stl", r, g.spillOff(g.alloc.loc[d.Temp].slot))
-	case ir.ValVar:
-		vr := d.Var
-		if vr.Kind == ir.VarGlobal {
-			g.emit("li r%d, %s", riscScratch2, vr.Name)
-			g.emit("%s r%d, r%d, 0", storeOp(vr.Char), r, riscScratch2)
-		} else {
-			g.frameAccess(storeOp(g.memChar(vr)), r, g.frameOff[vr])
-		}
-	}
-}
-
-// setDst routes a value sitting in register r to the destination.
-func (g *rgen) setDst(d ir.Value, r int) {
-	if rd, ok := g.regOf(d); ok {
-		if rd != r {
-			g.emit("mov r%d, r%d", rd, r)
-		}
-		return
-	}
-	g.writeBack(d, r)
+	return g.body(g.instr, g.term)
 }
 
 // immOK reports whether a constant fits the 13-bit immediate field.
@@ -305,100 +151,14 @@ var riscALU = map[ir.Op]string{
 
 func (g *rgen) instr(in *ir.Instr) error {
 	switch in.Op {
-	case ir.OpCopy:
-		g.copyTo(in.Dst, in.A)
-		return nil
-
-	case ir.OpNeg, ir.OpCom:
-		rd, store := g.dstReg(in.Dst)
-		a := g.readVal(in.A, riscScratchPtr)
-		if in.Op == ir.OpNeg {
-			g.emit("subr r%d, r%d, 0", rd, a)
-		} else {
-			g.emit("xor r%d, r%d, -1", rd, a)
-		}
-		if store {
-			g.writeBack(in.Dst, rd)
-		}
-		return nil
-
 	case ir.OpAdd, ir.OpSub, ir.OpAnd, ir.OpOr, ir.OpXor, ir.OpShl, ir.OpShr:
 		g.binary(in)
 		return nil
-
-	case ir.OpMul:
-		return g.mulDivMod(in)
-	case ir.OpDiv, ir.OpMod:
-		return g.mulDivMod(in)
-
-	case ir.OpAddr:
-		rd, store := g.dstReg(in.Dst)
-		vr := in.Var
-		switch {
-		case vr.Kind == ir.VarGlobal:
-			g.emit("li r%d, %s", rd, vr.Name)
-		case vr.Kind == ir.VarParam:
-			return errf(in.Line, "cannot take the address of register parameter %q", vr.Name)
-		default:
-			off := g.frameOff[vr]
-			if immOK(int32(off)) {
-				g.emit("add r%d, r1, %d", rd, off)
-			} else {
-				g.emit("li r%d, %d", rd, off)
-				g.emit("add r%d, r1, r%d", rd, rd)
-			}
-		}
-		if store {
-			g.writeBack(in.Dst, rd)
-		}
-		return nil
-
-	case ir.OpAddrStr:
-		rd, store := g.dstReg(in.Dst)
-		g.emit("li r%d, %s", rd, in.Label)
-		if store {
-			g.writeBack(in.Dst, rd)
-		}
-		return nil
-
-	case ir.OpLoad:
-		rd, store := g.dstReg(in.Dst)
-		a := g.readVal(in.A, riscScratchPtr)
-		g.emit("%s r%d, r%d, 0", loadOp(in.Size == 1), rd, a)
-		if store {
-			g.writeBack(in.Dst, rd)
-		}
-		return nil
-
-	case ir.OpStore:
-		a := g.readVal(in.A, riscScratchPtr)
-		b := g.readVal(in.B, riscScratch2)
-		g.emit("%s r%d, r%d, 0", storeOp(in.Size == 1), b, a)
-		return nil
-
-	case ir.OpCall:
-		for i, arg := range in.Args {
-			g.loadInto(arg, riscArgBase+i)
-		}
-		g.emit("call %s", in.Label)
-		g.emit("nop")
-		if in.Dst.Valid() {
-			g.setDst(in.Dst, riscArgBase)
-		}
+	case ir.OpMul, ir.OpDiv, ir.OpMod:
+		g.mulDivMod(in)
 		return nil
 	}
-	return errf(in.Line, "internal: unhandled IR op %d", in.Op)
-}
-
-// copyTo implements Dst = A, using at most one instruction when both
-// sides have register homes.
-func (g *rgen) copyTo(d, a ir.Value) {
-	if rd, ok := g.regOf(d); ok {
-		g.loadInto(a, rd)
-		return
-	}
-	r := g.readVal(a, riscScratchPtr)
-	g.writeBack(d, r)
+	return g.lsgen.instr(in)
 }
 
 // binary emits one of the native two-operand ALU operations, using
@@ -441,7 +201,7 @@ func (g *rgen) binary(in *ir.Instr) {
 // mulDivMod lowers multiplication, division and modulo: multiplication
 // by a register-destined constant becomes a shift-and-add sequence,
 // everything else calls the software arithmetic runtime.
-func (g *rgen) mulDivMod(in *ir.Instr) error {
+func (g *rgen) mulDivMod(in *ir.Instr) {
 	a, b := in.A, in.B
 	if in.Op == ir.OpMul && a.Kind == ir.ValConst {
 		a, b = b, a
@@ -452,7 +212,7 @@ func (g *rgen) mulDivMod(in *ir.Instr) error {
 		// the r8/r9 workspace.
 		g.loadInto(a, rd)
 		g.mulConst(rd, b.C)
-		return nil
+		return
 	}
 
 	var fn string
@@ -467,14 +227,7 @@ func (g *rgen) mulDivMod(in *ir.Instr) error {
 		fn = "__mod"
 		g.usesDiv = true
 	}
-	g.loadInto(a, riscArgBase)
-	g.loadInto(b, riscArgBase+1)
-	g.emit("call %s", fn)
-	g.emit("nop")
-	if in.Dst.Valid() {
-		g.setDst(in.Dst, riscArgBase)
-	}
-	return nil
+	g.call(fn, []ir.Value{a, b}, in.Dst)
 }
 
 // mulConst multiplies the value in dst by a constant, in place, using
@@ -569,34 +322,6 @@ func (g *rgen) term(t *ir.Term, next *ir.Block) {
 		}
 		g.emit("ret")
 		g.emit("nop")
-	}
-}
-
-// emitData lays out globals and string literals after the code.
-func (g *rgen) emitData() {
-	g.raw("\n; data\n")
-	g.emit(".align 4")
-	for _, gl := range g.prog.Globals {
-		g.label(gl.Name)
-		switch {
-		case gl.InitStr != "":
-			g.emit(".asciz %q", gl.InitStr)
-			if pad := gl.Size - len(gl.InitStr) - 1; pad > 0 {
-				g.emit(".space %d", pad)
-			}
-		case gl.Char:
-			g.emit(".byte %d", gl.Init)
-		case gl.Scalar:
-			g.emit(".word %d", gl.Init)
-		default:
-			g.emit(".space %d", gl.Size)
-		}
-		g.emit(".align 4")
-	}
-	for _, s := range g.prog.Strings {
-		g.label(s.Label)
-		g.emit(".asciz %q", s.Value)
-		g.emit(".align 4")
 	}
 }
 

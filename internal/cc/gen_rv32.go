@@ -1,12 +1,6 @@
 package cc
 
-import (
-	"fmt"
-	"strings"
-
-	"risc1/internal/cc/ir"
-	"risc1/internal/rv32"
-)
+import "risc1/internal/cc/ir"
 
 // Modern-RISC (RV32I+M subset) code generation conventions:
 //
@@ -42,13 +36,29 @@ var rv32VarRegs = []int{9, 18, 19, 20, 21, 22, 23}
 // rv32TempPool is the caller-saved allocator pool (t2..t6).
 var rv32TempPool = []int{7, 28, 29, 30, 31}
 
-// rn renders an architectural register number as its ABI name.
-func rn(r int) string { return rv32.RegName(uint8(r)) }
+// rv32Target spells the RV32 side of the shared load/store core.
+var rv32Target = lsTarget{
+	regs:     32,
+	base:     2,
+	scratch1: rv32Scratch1,
+	scratch2: rv32Scratch2,
+	argBase:  rv32ArgBase,
+	immOK:    imm12OK,
+	load:     [2]string{"lw", "lbu"},
+	store:    [2]string{"sw", "sb"},
+	mov:      "mv",
+	la:       "la",
+	addi:     "addi",
+	mem:      "%[1]s %[2]s, %[4]d(%[3]s)",
+	addBase:  "add %[1]s, %[1]s, %[2]s",
+	neg:      "neg %s, %s",
+	com:      "not %s, %s",
+}
 
 // GenRV32 compiles a lowered (and possibly optimized) IR program to
 // RV32 assembly text.
 func GenRV32(prog *ir.Program) (string, error) {
-	g := &mgen{prog: prog}
+	g := &mgen{lsgen: lsgen{asmOut: asmOut{prog: prog}, t: &rv32Target}}
 	g.raw("# MiniC RV32 output\n")
 	g.label("start")
 	g.emit("li sp, %d", rv32StackTop)
@@ -59,56 +69,14 @@ func GenRV32(prog *ir.Program) (string, error) {
 			return "", err
 		}
 	}
-	g.emitData()
+	g.emitData("#")
 	return g.b.String(), nil
 }
 
 type mgen struct {
-	prog *ir.Program
-	b    strings.Builder
-
-	fn        *ir.Func
-	alloc     allocation
-	varReg    map[*ir.Var]int // register-resident variables (s1..s7)
-	frameOff  map[*ir.Var]int // memory-resident locals (sp-relative)
-	frameMem  int             // bytes of arrays + addressed/overflow locals
-	savedS    []int           // callee-saved registers this body uses
-	frameSize int
-	leaf      bool
-}
-
-func (g *mgen) raw(s string) { g.b.WriteString(s) }
-
-func (g *mgen) emit(format string, args ...any) {
-	fmt.Fprintf(&g.b, "\t"+format+"\n", args...)
-}
-
-func (g *mgen) label(l string) { fmt.Fprintf(&g.b, "%s:\n", l) }
-
-func (g *mgen) blockLabel(b *ir.Block) string {
-	return fmt.Sprintf(".L%s_%s", g.fn.Name, b.Name)
-}
-
-// memChar mirrors the other backends: one-byte cells are truncating
-// stores and zero-extending loads; register homes and parameters hold
-// full words.
-func (g *mgen) memChar(v *ir.Var) bool {
-	_, inReg := g.varReg[v]
-	return v.Char && !inReg && v.Kind != ir.VarParam
-}
-
-func (g *mgen) loadMn(char bool) string {
-	if char {
-		return "lbu"
-	}
-	return "lw"
-}
-
-func (g *mgen) storeMn(char bool) string {
-	if char {
-		return "sb"
-	}
-	return "sw"
+	lsgen
+	savedS []int // callee-saved registers this body uses
+	leaf   bool
 }
 
 func (g *mgen) genFunc(fn *ir.Func) error {
@@ -116,8 +84,7 @@ func (g *mgen) genFunc(fn *ir.Func) error {
 		return errf(fn.Line, "%q: the RV32 convention passes at most %d register parameters", fn.Name, rv32MaxParams)
 	}
 	g.fn = fn
-	g.varReg = make(map[*ir.Var]int)
-	g.frameOff = make(map[*ir.Var]int)
+	g.reset()
 	g.savedS = nil
 
 	g.leaf = true
@@ -176,25 +143,12 @@ func (g *mgen) genFunc(fn *ir.Func) error {
 	}
 	for _, p := range fn.Params {
 		if r, ok := g.varReg[p]; ok {
-			g.emit("mv %s, %s", rn(r), rn(rv32ArgBase+p.ParamSlot))
+			g.move(r, rv32ArgBase+p.ParamSlot)
 		} else {
 			g.frameAccess("sw", rv32ArgBase+p.ParamSlot, g.frameOff[p])
 		}
 	}
-	for i, b := range g.fn.Blocks {
-		g.label(g.blockLabel(b))
-		for k := range b.Instrs {
-			if err := g.instr(&b.Instrs[k]); err != nil {
-				return err
-			}
-		}
-		var next *ir.Block
-		if i+1 < len(g.fn.Blocks) {
-			next = g.fn.Blocks[i+1]
-		}
-		g.term(&b.Term, next)
-	}
-	return nil
+	return g.body(g.instr, g.term)
 }
 
 // adjustSP moves the stack pointer by delta bytes (t0 staging when the
@@ -216,122 +170,11 @@ func (g *mgen) adjustSP(delta int) {
 	}
 }
 
-// spillOff returns the sp-relative frame offset of a spill slot.
-func (g *mgen) spillOff(slot int) int { return g.frameMem + 4*slot }
-
 // sRegOff returns the frame offset of the i-th saved s-register.
 func (g *mgen) sRegOff(i int) int { return g.frameMem + 4*g.alloc.nSpills + 4*i }
 
 // imm12OK reports whether a constant fits the 12-bit immediate field.
 func imm12OK(c int32) bool { return c >= -2048 && c <= 2047 }
-
-// frameAccess emits a load or store of a frame cell, forming the
-// address through t1 when the offset exceeds the immediate field.
-func (g *mgen) frameAccess(mn string, reg, off int) {
-	if imm12OK(int32(off)) {
-		g.emit("%s %s, %d(sp)", mn, rn(reg), off)
-		return
-	}
-	g.emit("li t1, %d", off)
-	g.emit("add t1, t1, sp")
-	g.emit("%s %s, 0(t1)", mn, rn(reg))
-}
-
-// regOf returns the register already holding a value, if any.
-func (g *mgen) regOf(v ir.Value) (int, bool) {
-	switch v.Kind {
-	case ir.ValConst:
-		if v.C == 0 {
-			return 0, true
-		}
-	case ir.ValTemp:
-		if l := g.alloc.loc[v.Temp]; l.reg >= 0 {
-			return l.reg, true
-		}
-	case ir.ValVar:
-		if r, ok := g.varReg[v.Var]; ok {
-			return r, true
-		}
-	}
-	return 0, false
-}
-
-// loadInto materializes a value in the given register.
-func (g *mgen) loadInto(v ir.Value, rd int) {
-	switch v.Kind {
-	case ir.ValConst:
-		g.emit("li %s, %d", rn(rd), v.C)
-	case ir.ValTemp:
-		if l := g.alloc.loc[v.Temp]; l.reg >= 0 {
-			if l.reg != rd {
-				g.emit("mv %s, %s", rn(rd), rn(l.reg))
-			}
-		} else {
-			g.frameAccess("lw", rd, g.spillOff(l.slot))
-		}
-	case ir.ValVar:
-		vr := v.Var
-		if r, ok := g.varReg[vr]; ok {
-			if r != rd {
-				g.emit("mv %s, %s", rn(rd), rn(r))
-			}
-			return
-		}
-		if vr.Kind == ir.VarGlobal {
-			g.emit("la %s, %s", rn(rd), vr.Name)
-			g.emit("%s %s, 0(%s)", g.loadMn(vr.Char), rn(rd), rn(rd))
-		} else {
-			g.frameAccess(g.loadMn(g.memChar(vr)), rd, g.frameOff[vr])
-		}
-	}
-}
-
-// readVal returns a register holding the value, loading into the given
-// scratch register when it has no home of its own.
-func (g *mgen) readVal(v ir.Value, scratch int) int {
-	if r, ok := g.regOf(v); ok {
-		return r
-	}
-	g.loadInto(v, scratch)
-	return scratch
-}
-
-// dstReg picks the register an instruction should compute into; store
-// reports whether writeBack must follow.
-func (g *mgen) dstReg(d ir.Value) (reg int, store bool) {
-	if r, ok := g.regOf(d); ok && d.Kind != ir.ValConst {
-		return r, false
-	}
-	return rv32Scratch1, true
-}
-
-// writeBack stores a computed value to a spilled temporary or a
-// memory-resident variable.
-func (g *mgen) writeBack(d ir.Value, r int) {
-	switch d.Kind {
-	case ir.ValTemp:
-		g.frameAccess("sw", r, g.spillOff(g.alloc.loc[d.Temp].slot))
-	case ir.ValVar:
-		vr := d.Var
-		if vr.Kind == ir.VarGlobal {
-			g.emit("la t1, %s", vr.Name)
-			g.emit("%s %s, 0(t1)", g.storeMn(vr.Char), rn(r))
-		} else {
-			g.frameAccess(g.storeMn(g.memChar(vr)), r, g.frameOff[vr])
-		}
-	}
-}
-
-// setDst routes a value sitting in register r to the destination.
-func (g *mgen) setDst(d ir.Value, r int) {
-	if rd, ok := g.regOf(d); ok {
-		if rd != r {
-			g.emit("mv %s, %s", rn(rd), rn(r))
-		}
-		return
-	}
-	g.writeBack(d, r)
-}
 
 // rv32ALU maps IR binary ops with native register-form mnemonics;
 // rv32ALUImm those with an immediate form.
@@ -348,99 +191,16 @@ var rv32ALUImm = map[ir.Op]string{
 
 func (g *mgen) instr(in *ir.Instr) error {
 	switch in.Op {
-	case ir.OpCopy:
-		g.copyTo(in.Dst, in.A)
-		return nil
-
-	case ir.OpNeg, ir.OpCom:
-		rd, store := g.dstReg(in.Dst)
-		a := g.readVal(in.A, rv32Scratch1)
-		if in.Op == ir.OpNeg {
-			g.emit("neg %s, %s", rn(rd), rn(a))
-		} else {
-			g.emit("not %s, %s", rn(rd), rn(a))
-		}
-		if store {
-			g.writeBack(in.Dst, rd)
-		}
-		return nil
-
 	case ir.OpAdd, ir.OpSub, ir.OpAnd, ir.OpOr, ir.OpXor,
 		ir.OpShl, ir.OpShr, ir.OpMul, ir.OpDiv, ir.OpMod:
 		g.binary(in)
 		return nil
-
-	case ir.OpAddr:
-		rd, store := g.dstReg(in.Dst)
-		vr := in.Var
-		switch {
-		case vr.Kind == ir.VarGlobal:
-			g.emit("la %s, %s", rn(rd), vr.Name)
-		default:
-			off, ok := g.frameOff[vr]
-			if !ok {
-				return errf(in.Line, "internal: address of register-resident %q", vr.Name)
-			}
-			if imm12OK(int32(off)) {
-				g.emit("addi %s, sp, %d", rn(rd), off)
-			} else {
-				g.emit("li %s, %d", rn(rd), off)
-				g.emit("add %s, %s, sp", rn(rd), rn(rd))
-			}
-		}
-		if store {
-			g.writeBack(in.Dst, rd)
-		}
-		return nil
-
-	case ir.OpAddrStr:
-		rd, store := g.dstReg(in.Dst)
-		g.emit("la %s, %s", rn(rd), in.Label)
-		if store {
-			g.writeBack(in.Dst, rd)
-		}
-		return nil
-
-	case ir.OpLoad:
-		rd, store := g.dstReg(in.Dst)
-		a := g.readVal(in.A, rv32Scratch1)
-		g.emit("%s %s, 0(%s)", g.loadMn(in.Size == 1), rn(rd), rn(a))
-		if store {
-			g.writeBack(in.Dst, rd)
-		}
-		return nil
-
-	case ir.OpStore:
-		a := g.readVal(in.A, rv32Scratch1)
-		b := g.readVal(in.B, rv32Scratch2)
-		g.emit("%s %s, 0(%s)", g.storeMn(in.Size == 1), rn(b), rn(a))
-		return nil
-
 	case ir.OpCall:
 		if len(in.Args) > rv32MaxParams {
 			return errf(in.Line, "call %q: at most %d register arguments", in.Label, rv32MaxParams)
 		}
-		for i, arg := range in.Args {
-			g.loadInto(arg, rv32ArgBase+i)
-		}
-		g.emit("call %s", in.Label)
-		if in.Dst.Valid() {
-			g.setDst(in.Dst, rv32ArgBase)
-		}
-		return nil
 	}
-	return errf(in.Line, "internal: unhandled IR op %d", in.Op)
-}
-
-// copyTo implements Dst = A, using at most one instruction when both
-// sides have register homes.
-func (g *mgen) copyTo(d, a ir.Value) {
-	if rd, ok := g.regOf(d); ok {
-		g.loadInto(a, rd)
-		return
-	}
-	r := g.readVal(a, rv32Scratch1)
-	g.writeBack(d, r)
+	return g.lsgen.instr(in)
 }
 
 // binary emits one native ALU operation, using the immediate form when
@@ -462,12 +222,12 @@ func (g *mgen) binary(in *ir.Instr) {
 
 	ar := g.readVal(a, rv32Scratch1)
 	if mn, ok := rv32ALUImm[in.Op]; ok && b.Kind == ir.ValConst && b.C != 0 && imm12OK(b.C) {
-		g.emit("%s %s, %s, %d", mn, rn(rd), rn(ar), b.C)
+		g.emit("%s %s, %s, %d", mn, g.r(rd), g.r(ar), b.C)
 	} else if in.Op == ir.OpSub && b.Kind == ir.ValConst && b.C != 0 && imm12OK(-b.C) {
-		g.emit("addi %s, %s, %d", rn(rd), rn(ar), -b.C)
+		g.emit("addi %s, %s, %d", g.r(rd), g.r(ar), -b.C)
 	} else {
 		br := g.readVal(b, rv32Scratch2)
-		g.emit("%s %s, %s, %s", rv32ALU[in.Op], rn(rd), rn(ar), rn(br))
+		g.emit("%s %s, %s, %s", rv32ALU[in.Op], g.r(rd), g.r(ar), g.r(br))
 	}
 	if store {
 		g.writeBack(in.Dst, rd)
@@ -495,7 +255,7 @@ func (g *mgen) term(t *ir.Term, next *ir.Block) {
 		a := g.readVal(t.A, rv32Scratch1)
 		b := g.readVal(t.B, rv32Scratch2)
 		branch := func(rel ir.Rel, target *ir.Block) {
-			g.emit("%s %s, %s, %s", rv32CondOf[rel], rn(a), rn(b), g.blockLabel(target))
+			g.emit("%s %s, %s, %s", rv32CondOf[rel], g.r(a), g.r(b), g.blockLabel(target))
 		}
 		switch {
 		case t.Else == next:
@@ -521,33 +281,5 @@ func (g *mgen) term(t *ir.Term, next *ir.Block) {
 		}
 		g.adjustSP(g.frameSize)
 		g.emit("ret")
-	}
-}
-
-// emitData lays out globals and string literals after the code.
-func (g *mgen) emitData() {
-	g.raw("\n# data\n")
-	g.emit(".align 4")
-	for _, gl := range g.prog.Globals {
-		g.label(gl.Name)
-		switch {
-		case gl.InitStr != "":
-			g.emit(".asciz %q", gl.InitStr)
-			if pad := gl.Size - len(gl.InitStr) - 1; pad > 0 {
-				g.emit(".space %d", pad)
-			}
-		case gl.Char:
-			g.emit(".byte %d", gl.Init)
-		case gl.Scalar:
-			g.emit(".word %d", gl.Init)
-		default:
-			g.emit(".space %d", gl.Size)
-		}
-		g.emit(".align 4")
-	}
-	for _, s := range g.prog.Strings {
-		g.label(s.Label)
-		g.emit(".asciz %q", s.Value)
-		g.emit(".align 4")
 	}
 }

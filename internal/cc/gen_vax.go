@@ -37,7 +37,7 @@ var vaxTempPool = []int{0, 1, 2, 3}
 // GenVAX compiles a lowered (and possibly optimized) IR program to
 // baseline CISC assembly text.
 func GenVAX(prog *ir.Program) (string, error) {
-	g := &vgen{prog: prog}
+	g := &vgen{asmOut: asmOut{prog: prog}}
 	g.raw("; MiniC CISC baseline output\n")
 	g.label("start")
 	g.emit("calls $0, main")
@@ -47,38 +47,18 @@ func GenVAX(prog *ir.Program) (string, error) {
 			return "", err
 		}
 	}
-	g.emitData()
+	g.emitData(";")
 	return g.b.String(), nil
 }
 
 type vgen struct {
-	prog *ir.Program
-	b    strings.Builder
-
-	fn        *ir.Func
-	alloc     allocation
-	varReg    map[*ir.Var]int // register variables (r6..r11)
-	frameOff  map[*ir.Var]int // FP-relative memory locals (negative)
-	frameMem  int
-	frameSize int
-}
-
-func (g *vgen) raw(s string) { g.b.WriteString(s) }
-
-func (g *vgen) emit(format string, args ...any) {
-	fmt.Fprintf(&g.b, "\t"+format+"\n", args...)
-}
-
-func (g *vgen) label(l string) { fmt.Fprintf(&g.b, "%s:\n", l) }
-
-func (g *vgen) blockLabel(b *ir.Block) string {
-	return fmt.Sprintf(".L%s_%s", g.fn.Name, b.Name)
+	asmOut
+	frame // varReg: r6..r11; frameOff: negative FP offsets
 }
 
 func (g *vgen) genFunc(fn *ir.Func) error {
 	g.fn = fn
-	g.varReg = make(map[*ir.Var]int)
-	g.frameOff = make(map[*ir.Var]int)
+	g.reset()
 
 	// Non-addressed scalar locals into r6..r11; the rest (and arrays)
 	// into the frame.
@@ -106,33 +86,12 @@ func (g *vgen) genFunc(fn *ir.Func) error {
 	if g.frameSize > 0 {
 		g.emit("subl2 $%d, sp", g.frameSize)
 	}
-	for i, b := range fn.Blocks {
-		g.label(g.blockLabel(b))
-		for k := range b.Instrs {
-			if err := g.instr(&b.Instrs[k]); err != nil {
-				return err
-			}
-		}
-		var next *ir.Block
-		if i+1 < len(fn.Blocks) {
-			next = fn.Blocks[i+1]
-		}
-		g.term(&b.Term, next)
-	}
-	return nil
+	return g.body(g.instr, g.term)
 }
 
 // spillOp returns the frame operand of a spill slot.
 func (g *vgen) spillOp(slot int) string {
-	return fmt.Sprintf("%d(fp)", -(g.frameMem + 4*slot + 4))
-}
-
-// vChar reports whether the variable is a one-byte memory cell.
-// Register-resident char locals and char parameters hold full words
-// (parameters are pushed as words — the usual C integer promotion).
-func (g *vgen) vChar(v *ir.Var) bool {
-	_, inReg := g.varReg[v]
-	return v.Char && !inReg && v.Kind != ir.VarParam
+	return fmt.Sprintf("%d(fp)", -(g.spillOff(slot) + 4))
 }
 
 // cellOp returns the raw addressing-mode string of a variable's
@@ -164,7 +123,7 @@ func (g *vgen) operand(v ir.Value) (string, bool) {
 			return g.spillOp(l.slot), true
 		}
 	case ir.ValVar:
-		if g.vChar(v.Var) {
+		if g.memChar(v.Var) {
 			return "", false
 		}
 		return g.cellOp(v.Var), true
@@ -193,7 +152,7 @@ func (g *vgen) dstOp(d ir.Value) string {
 func (g *vgen) instr(in *ir.Instr) error {
 	switch in.Op {
 	case ir.OpCopy:
-		g.copyTo(in.Dst, in.A)
+		g.assign(in.Dst, in.A)
 		return nil
 
 	case ir.OpNeg, ir.OpCom:
@@ -305,12 +264,12 @@ var vaxALU3 = map[ir.Op]string{
 	ir.OpOr: "bisl3", ir.OpXor: "xorl3",
 }
 
-// copyTo implements Dst = A; this is the only place a char cell is
-// written, so truncation lives here on both backends.
-func (g *vgen) copyTo(d, a ir.Value) {
+// assign implements Dst = A; this is the only place a char cell is
+// written, so truncation lives here (copyTo on the load/store targets).
+func (g *vgen) assign(d, a ir.Value) {
 	if dop, ok := g.operand(d); ok {
 		// Word destination.
-		if a.Kind == ir.ValVar && g.vChar(a.Var) {
+		if a.Kind == ir.ValVar && g.memChar(a.Var) {
 			g.emit("movzbl %s, %s", g.cellOp(a.Var), dop)
 			return
 		}
@@ -329,7 +288,7 @@ func (g *vgen) copyTo(d, a ir.Value) {
 	// go cell to cell. Immediates are staged to keep them in range.
 	cell := g.cellOp(d.Var)
 	switch {
-	case a.Kind == ir.ValVar && g.vChar(a.Var):
+	case a.Kind == ir.ValVar && g.memChar(a.Var):
 		g.emit("movb %s, %s", g.cellOp(a.Var), cell)
 	case a.Kind == ir.ValConst:
 		g.emit("movl $%d, r5", a.C)
@@ -455,32 +414,4 @@ func swapRel(r ir.Rel) ir.Rel {
 		return ir.RelLe
 	}
 	return r
-}
-
-// emitData lays out globals and string literals after the code.
-func (g *vgen) emitData() {
-	g.raw("\n; data\n")
-	g.emit(".align 4")
-	for _, gl := range g.prog.Globals {
-		g.label(gl.Name)
-		switch {
-		case gl.InitStr != "":
-			g.emit(".asciz %q", gl.InitStr)
-			if pad := gl.Size - len(gl.InitStr) - 1; pad > 0 {
-				g.emit(".space %d", pad)
-			}
-		case gl.Char:
-			g.emit(".byte %d", gl.Init)
-		case gl.Scalar:
-			g.emit(".word %d", gl.Init)
-		default:
-			g.emit(".space %d", gl.Size)
-		}
-		g.emit(".align 4")
-	}
-	for _, s := range g.prog.Strings {
-		g.label(s.Label)
-		g.emit(".asciz %q", s.Value)
-		g.emit(".align 4")
-	}
 }

@@ -512,9 +512,10 @@ func (lo *lowerer) addr(e *Expr) (ir.Value, error) {
 	switch e.Kind {
 	case ExprIdent:
 		v := lo.varFor(e.Sym)
-		if v.Scalar && v.Kind == ir.VarLocal {
-			// Force the local out of the register file; the backends
-			// check this flag before allocating.
+		if v.Scalar && v.Kind != ir.VarGlobal {
+			// Force the local or parameter out of the register file;
+			// the backends check this flag before allocating, and the
+			// optimizer treats the cell as reachable through memory.
 			v.Addressed = true
 		}
 		t := lo.temp()

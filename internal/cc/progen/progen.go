@@ -4,7 +4,7 @@
 // differential fuzz tests (internal/cc) and the batch-execution
 // engine's cross-job leakage test (internal/exec): every generated
 // program stores its value in the global "result" and must produce the
-// same word on both simulators at both optimization levels.
+// same word on all three simulators at both optimization levels.
 //
 // The package depends on nothing in the tool chain, so test packages on
 // either side of the compiler/engine boundary can import it freely.

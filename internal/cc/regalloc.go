@@ -6,14 +6,15 @@ import (
 	"risc1/internal/cc/ir"
 )
 
-// Temporary allocation shared by both backends: a backward liveness
-// analysis over the CFG, live intervals in layout order, and a linear
-// scan over the given register pool with furthest-end spilling. The
-// machines differ only in the pool they offer and in whether a call
+// Temporary allocation shared by all three backends: a backward
+// liveness analysis over the CFG, live intervals in layout order, and a
+// linear scan over the given register pool with furthest-end spilling.
+// The machines differ only in the pool they offer and in whether a call
 // destroys it: RISC I's register windows preserve the caller's locals
-// across calls, while the CISC machine's evaluation registers are
-// caller-saved, so temporaries that live across a call are forced
-// into frame slots up front (a frame operand is native there anyway).
+// across calls, while the CISC machine's evaluation registers and
+// RV32's t-registers are caller-saved, so temporaries that live across
+// a call are forced into frame slots up front (on the CISC machine a
+// frame operand is native anyway).
 
 // tempLoc is where one temporary lives for its whole lifetime.
 type tempLoc struct {
