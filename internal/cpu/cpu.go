@@ -220,11 +220,52 @@ func (c *CPU) SetEntry(entry uint32) {
 
 // StepN executes up to n instructions, stopping early at a halt — the
 // loop under the embedded fuel driver's Run, RunContext and RunSteps.
+//
+// A due interrupt is delivered first; its handler's first instruction
+// is the step that delivery belongs to. The hit path then walks the
+// predecoded span at pc straight-line: one cache lookup serves every
+// instruction up to the first taken transfer (a delay slot is still
+// sequential), invalid entry, page end, halt, deliverable interrupt,
+// or the n-th instruction. A miss takes the slow path, miss.
 func (c *CPU) StepN(n uint64) {
-	for i := uint64(0); i < n && !c.halted; i++ {
-		c.Step()
+	for n > 0 && !c.halted {
+		if c.irqDue() {
+			if c.deliverInterrupt(); c.halted {
+				return
+			}
+		}
+		span := c.icache.Span(c.pc)
+		if span == nil {
+			c.miss()
+			n--
+			continue
+		}
+		if uint64(len(span)) > n {
+			span = span[:n]
+		}
+		k, next := 0, c.pc
+		for k < len(span) {
+			e := &span[k]
+			if !e.Valid {
+				break
+			}
+			// Copy before executing: a store by this instruction into
+			// its own word clears e in place.
+			d := e.D
+			c.execute(&d)
+			k++
+			next += isa.InstBytes
+			if c.pc != next || c.halted || c.irqDue() {
+				break
+			}
+		}
+		c.icache.AddHits(uint64(k))
+		n -= uint64(k)
 	}
 }
+
+// Step executes a single instruction. After a halt it does nothing.
+func (c *CPU) Step() { c.StepN(1) }
 
 // RaiseInterrupt requests an external interrupt. Before the next
 // instruction outside a delayed-jump shadow, the processor performs the
@@ -269,25 +310,17 @@ func (c *CPU) deliverInterrupt() {
 	c.Stats.TrapCycles += trapOverheadCycles
 }
 
-// Step executes a single instruction. After a halt it does nothing.
-func (c *CPU) Step() {
-	if c.halted {
-		return
-	}
-	if c.pendingIRQ != nil && c.intEnabled && !c.inSlot {
-		c.deliverInterrupt()
-		if c.halted {
-			return
-		}
-	}
-	// Hot path: dispatch from the predecoded cache. A miss (cold line,
-	// invalidated page, misaligned or out-of-range pc) falls through to
-	// the fetch+decode path, which raises exactly the faults it always
-	// did and refills the line on success.
-	if d := c.icache.Lookup(c.pc); d != nil {
-		c.execute(d.in, d.cycles, d.handle)
-		return
-	}
+// irqDue reports whether a requested interrupt is delivered before the
+// next instruction.
+func (c *CPU) irqDue() bool {
+	return c.pendingIRQ != nil && c.intEnabled && !c.inSlot
+}
+
+// miss is StepN's slow path for one instruction the cache cannot
+// serve (cold line, cleared entry, misaligned or out-of-range pc, or
+// no cache): fetch and decode, raising exactly the faults it always
+// did, refill the entry on success, and execute.
+func (c *CPU) miss() {
 	c.icache.CountMiss()
 	word, err := c.Mem.FetchWord(c.pc)
 	if err != nil {
@@ -299,12 +332,11 @@ func (c *CPU) Step() {
 		c.fault(fmt.Errorf("cpu: at %#08x: %w", c.pc, err))
 		return
 	}
-	cycles := uint64(in.Op.Info().Cycles)
-	handle := c.opHandles[in.Op]
+	d := decoded{in: in, cycles: uint64(in.Op.Info().Cycles), handle: c.opHandles[in.Op]}
 	if c.icache != nil { // keeps the -nocache path free of the out-of-line call
-		c.icache.Fill(c.pc, decoded{in: in, cycles: cycles, handle: handle})
+		c.icache.Fill(c.pc, d)
 	}
-	c.execute(in, cycles, handle)
+	c.execute(&d)
 }
 
 func (c *CPU) fault(err error) {
@@ -378,7 +410,7 @@ func (c *CPU) observeWindowTrap(kind obs.Kind, words int, cost uint64) {
 }
 
 // s2 evaluates the short-format second operand.
-func (c *CPU) s2(in isa.Inst) uint32 {
+func (c *CPU) s2(in *isa.Inst) uint32 {
 	if in.Imm {
 		return uint32(in.Imm13)
 	}
@@ -433,18 +465,19 @@ func (c *CPU) transfer(target uint32) {
 	c.inSlot = true
 }
 
-// execute runs one decoded instruction. cycles and handle are the
-// per-opcode metadata (isa cycle cost, trace handle) that the caller
-// resolved once — at decode time on the slow path, at cache-fill time on
-// the hot path — so the interpreter never re-derives them per visit.
-func (c *CPU) execute(in isa.Inst, cycles uint64, handle int) {
+// execute runs one decoded instruction, with the per-opcode metadata
+// (isa cycle cost, trace handle) resolved once at decode time, so the
+// interpreter never re-derives it per visit. d must be the caller's
+// own copy, never a cache entry: a store can clear an entry in place.
+func (c *CPU) execute(d *decoded) {
+	in := &d.in
 	if c.Tracer != nil {
-		c.Tracer(c.pc, in)
+		c.Tracer(c.pc, *in)
 	}
 	if c.Obs != nil {
-		c.observeInstr(in, cycles)
+		c.observeInstr(*in, d.cycles)
 	}
-	c.Trace.ExecHandle(handle, cycles)
+	c.Trace.ExecHandle(d.handle, d.cycles)
 
 	// A NOP in the shadow of a transfer is a wasted delay slot; the
 	// canonical NOP is "add r0, r0, 0" (any write to r0 is a no-op).
@@ -680,7 +713,7 @@ func (c *CPU) spill(vals []uint32) bool {
 
 // refill restores the youngest spilled window from the save stack.
 func (c *CPU) refill() bool {
-	vals := make([]uint32, regfile.SpillRegs)
+	var vals [regfile.SpillRegs]uint32
 	for i := range vals {
 		v, err := c.Mem.LoadWord(c.saveSP + uint32(4*i))
 		if err != nil {
@@ -690,7 +723,7 @@ func (c *CPU) refill() bool {
 		vals[i] = v
 	}
 	c.saveSP += uint32(4 * len(vals))
-	c.Regs.Refill(vals)
+	c.Regs.Refill(vals[:])
 	cost := uint64(2*len(vals) + trapOverheadCycles)
 	if c.Obs != nil {
 		c.observeWindowTrap(obs.KindRefill, len(vals), cost)

@@ -11,6 +11,12 @@
 // for the variable-length CISC baseline, whose instructions may start
 // anywhere.
 //
+// Backends dispatch from spans: Span returns the rest of a page from
+// one entry on, which the interpreter walks straight-line while its pc
+// stays sequential. One page-table lookup then serves a whole run of
+// instructions up to the next taken transfer, and AddHits credits the
+// run at once, so the counters match a lookup per instruction exactly.
+//
 // Correctness under self-modifying code comes from mem.Memory's OnStore
 // hook, which the cache owns (Attach): every store, including window
 // spills, program loads, Reset and Restore, reports its byte range, and
@@ -52,9 +58,13 @@ type Stats struct {
 	Pages uint64
 }
 
-type entry[D any] struct {
-	d     D
-	valid bool
+// Entry is one cache slot: a predecoded record and whether it is live.
+// Backends read entries through Span and must re-check Valid on each
+// one, because an instruction's store can clear a later entry of the
+// span it is running from.
+type Entry[D any] struct {
+	D     D
+	Valid bool
 }
 
 type page[D any] struct {
@@ -62,17 +72,21 @@ type page[D any] struct {
 	// without one holds no valid entry, so clearing it is a no-op and
 	// is not counted as an invalidation.
 	filled bool
-	e      [PageEntries]entry[D]
+	e      [PageEntries]Entry[D]
 }
 
 // Cache is a predecode cache of records D. A nil *Cache is a disabled
-// cache: Lookup misses without counting, Fill and Attach do nothing.
+// cache: Span misses without counting, Fill and Attach do nothing.
 type Cache[D any] struct {
 	shift  uint32 // log2 of the bytes one entry indexes
 	align  uint32 // 1<<shift - 1: an entry address must be aligned
 	reach  uint32 // bytes an instruction may extend past its first
 	npages uint32
 	pages  []*page[D] // nil until the first fill
+	// lo and hi bound the entry indices ever filled (lo > hi while
+	// none is). A store whose reach misses [lo, hi] cannot clear
+	// anything, so invalidate returns before the entry loop.
+	lo, hi uint32
 	stats  Stats
 }
 
@@ -86,6 +100,7 @@ func New[D any](memSize int, shift, reach uint32) *Cache[D] {
 		align:  1<<shift - 1,
 		reach:  reach,
 		npages: uint32((entries + PageEntries - 1) / PageEntries),
+		lo:     ^uint32(0),
 	}
 }
 
@@ -98,12 +113,18 @@ func (c *Cache[D]) Attach(m *mem.Memory) {
 	}
 }
 
-// Lookup returns the cached record for addr, or nil on a miss
-// (including a misaligned or out-of-range address, which the caller's
-// slow path turns into whatever fault it always raised). Misses are
-// counted by CountMiss at the dispatch site, not here: the hit path runs
-// once per simulated instruction and must stay inlinable.
-func (c *Cache[D]) Lookup(addr uint32) *D {
+// Span returns the entries of addr's page from addr's entry to the end
+// of the page, or nil where no hit is possible: a disabled cache, a
+// misaligned or out-of-range address, a page never filled, or an
+// invalid first entry (the caller's slow path then raises whatever
+// fault it always did). A backend walks the span straight-line while
+// its pc stays sequential, re-checking Valid on every entry, and
+// credits the entries it dispatched with AddHits. Pages are cleared in
+// place and never freed, so the span stays memory-safe while the
+// instruction it feeds stores into its own page; a record must still
+// be copied out of its entry before the instruction executes, since
+// such a store clears the entry in place.
+func (c *Cache[D]) Span(addr uint32) []Entry[D] {
 	if c == nil {
 		return nil
 	}
@@ -111,13 +132,18 @@ func (c *Cache[D]) Lookup(addr uint32) *D {
 	p := idx >> pageShift
 	if addr&c.align == 0 && p < uint32(len(c.pages)) {
 		if pg := c.pages[p]; pg != nil {
-			if e := &pg.e[idx&pageMask]; e.valid {
-				c.stats.Hits++
-				return &e.d
+			if s := pg.e[idx&pageMask:]; s[0].Valid {
+				return s
 			}
 		}
 	}
 	return nil
+}
+
+// AddHits credits n instructions dispatched from a span; only a cache
+// that returned one is ever credited.
+func (c *Cache[D]) AddHits(n uint64) {
+	c.stats.Hits += n
 }
 
 // CountMiss attributes one dispatch to the fetch+decode slow path.
@@ -146,8 +172,9 @@ func (c *Cache[D]) Fill(addr uint32, d D) {
 		c.pages[p] = pg
 		c.stats.Pages++
 	}
-	pg.e[idx&pageMask] = entry[D]{d: d, valid: true}
+	pg.e[idx&pageMask] = Entry[D]{D: d, Valid: true}
 	pg.filled = true
+	c.lo, c.hi = min(c.lo, idx), max(c.hi, idx)
 	c.stats.Fills++
 }
 
@@ -159,11 +186,12 @@ func (c *Cache[D]) Stats() Stats {
 	return c.stats
 }
 
-// Clone deep-copies the cache — pages holding entries, and counters —
-// and attaches the copy to m, for machine forks. The clone is valid
-// only while m holds the same code bytes the original's memory did at
-// clone time, which a fork guarantees by cloning cache and memory
-// together (mem.Memory.Fork does not carry the hook over).
+// Clone deep-copies the cache — pages holding entries, the fill
+// bounds, and counters — and attaches the copy to m, for machine
+// forks. The clone is valid only while m holds the same code bytes the
+// original's memory did at clone time, which a fork guarantees by
+// cloning cache and memory together (mem.Memory.Fork does not carry the
+// hook over).
 func (c *Cache[D]) Clone(m *mem.Memory) *Cache[D] {
 	if c == nil {
 		return nil
@@ -201,11 +229,22 @@ func (c *Cache[D]) invalidate(addr, size uint32) {
 	if addr > c.reach {
 		head = (addr - c.reach) >> c.shift
 	}
+	// Early out: the entries this write reaches — whole pages for a
+	// bulk write — miss every entry ever filled (stack pushes and data
+	// stores far from code), so there is nothing to clear or count.
+	bulk := last-first+1 >= PageEntries
+	reachLo, reachHi := head, last
+	if bulk {
+		reachLo, reachHi = min(head, first&^pageMask), last|pageMask
+	}
+	if reachHi < c.lo || reachLo > c.hi {
+		return
+	}
 	hi := last // last entry cleared one by one
-	if last-first+1 >= PageEntries {
+	if bulk {
 		for p := first >> pageShift; p <= last>>pageShift && p < c.npages; p++ {
 			if pg := c.pages[p]; pg != nil && pg.filled {
-				pg.e = [PageEntries]entry[D]{}
+				pg.e = [PageEntries]Entry[D]{}
 				pg.filled = false
 				c.stats.Invalidations++
 			}
@@ -223,8 +262,8 @@ func (c *Cache[D]) invalidate(addr, size uint32) {
 		end := min(p<<pageShift|pageMask, hi) // last entry of this page in range
 		if pg := c.pages[p]; pg != nil && pg.filled {
 			for j := i; ; j++ {
-				if e := &pg.e[j&pageMask]; e.valid {
-					*e = entry[D]{}
+				if e := &pg.e[j&pageMask]; e.Valid {
+					*e = Entry[D]{}
 					c.stats.Invalidations++
 				}
 				if j == end {

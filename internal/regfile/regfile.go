@@ -51,6 +51,9 @@ const (
 	// window overflow or underflow: one activation's private span (its
 	// HIGH overlap block plus its locals).
 	SpillRegs = regsPerWindow
+	// maxWindows keeps every physical index within the uint16 window
+	// maps.
+	maxWindows = (1<<16 - numGlobals) / regsPerWindow
 )
 
 // PhysicalRegs returns the total number of physical registers the
@@ -65,18 +68,28 @@ func (c Config) validate() error {
 	if c.Windows < 2 {
 		return fmt.Errorf("regfile: need at least 2 windows, got %d", c.Windows)
 	}
+	if c.Windows > maxWindows {
+		return fmt.Errorf("regfile: at most %d windows, got %d", maxWindows, c.Windows)
+	}
 	return nil
 }
 
 // File is the physical register file plus the window bookkeeping.
 type File struct {
-	cfg      Config
-	globals  [numGlobals]uint32
-	buf      []uint32 // Windows * regsPerWindow circular buffer
-	cwp      int      // window of the current (youngest) activation
-	oldest   int      // window of the oldest resident activation
-	resident int      // number of resident activations, 1..Windows-1
-	depth    int      // call depth relative to reset, for statistics
+	cfg Config
+	// phys holds every physical register: the globals at 0..9 (phys[0]
+	// is r0, never written), then the Windows*regsPerWindow circular
+	// window buffer.
+	phys []uint32
+	// maps[w][r] is the phys index visible register r names in window
+	// w, built once in New; cur is maps[cwp], so a register access is a
+	// table lookup with no window arithmetic.
+	maps     [][visibleRegs]uint16
+	cur      *[visibleRegs]uint16
+	cwp      int // window of the current (youngest) activation
+	oldest   int // window of the oldest resident activation
+	resident int // number of resident activations, 1..Windows-1
+	depth    int // call depth relative to reset, for statistics
 	maxDepth int
 
 	// Stats accumulates window events for the paper's experiments.
@@ -97,7 +110,16 @@ func New(cfg Config) *File {
 	if err := cfg.validate(); err != nil {
 		panic(err)
 	}
-	f := &File{cfg: cfg, buf: make([]uint32, cfg.Windows*regsPerWindow)}
+	f := &File{
+		cfg:  cfg,
+		phys: make([]uint32, cfg.PhysicalRegs()),
+		maps: make([][visibleRegs]uint16, cfg.Windows),
+	}
+	for w := range f.maps {
+		for r := range f.maps[w] {
+			f.maps[w][r] = uint16(f.index(w, uint8(r)))
+		}
+	}
 	f.Reset()
 	return f
 }
@@ -118,53 +140,63 @@ func (f *File) Depth() int { return f.depth }
 // MaxDepth returns the deepest call depth observed since Reset.
 func (f *File) MaxDepth() int { return f.maxDepth }
 
-// index maps a visible register number in window w to a physical slot in
-// the circular buffer, or -1 for globals.
+// index maps a visible register number in window w to its physical
+// slot: globals first, then the circular buffer. It builds the window
+// maps; accesses go through them.
 //
-// Window w's HIGH block and locals live at w*16..w*16+15; its LOW block is
-// window (w+1)'s HIGH block — that aliasing is the whole point.
+// Window w's HIGH block and locals live at w*16..w*16+15 of the buffer;
+// its LOW block is window (w+1)'s HIGH block — that aliasing is the
+// whole point.
 func (f *File) index(w int, r uint8) int {
 	switch {
 	case r < numGlobals:
-		return -1
+		return int(r)
 	case r < 16: // LOW: shared with callee's HIGH
 		next := (w + 1) % f.cfg.Windows
-		return next*regsPerWindow + int(r-10)
+		return f.window(next) + int(r-10)
 	case r < 26: // LOCAL
-		return w*regsPerWindow + overlap + int(r-16)
+		return f.window(w) + overlap + int(r-16)
 	default: // HIGH: shared with caller's LOW
-		return w*regsPerWindow + int(r-26)
+		return f.window(w) + int(r-26)
 	}
 }
+
+// window is the phys index of window w's private span (HIGH block,
+// then locals).
+func (f *File) window(w int) int { return numGlobals + w*regsPerWindow }
 
 // Get reads visible register r in the current window. r0 always reads 0.
 func (f *File) Get(r uint8) uint32 {
 	if r >= visibleRegs {
-		panic(fmt.Sprintf("regfile: register r%d out of range", r))
+		panic(badRegister(r))
 	}
-	if r == 0 {
-		return 0
-	}
-	if r < numGlobals {
-		return f.globals[r]
-	}
-	return f.buf[f.index(f.cwp, r)]
+	return f.phys[f.cur[r]]
 }
 
 // Set writes visible register r in the current window. Writes to r0 are
 // discarded, preserving the hardwired zero.
 func (f *File) Set(r uint8, v uint32) {
 	if r >= visibleRegs {
-		panic(fmt.Sprintf("regfile: register r%d out of range", r))
+		panic(badRegister(r))
 	}
-	if r == 0 {
-		return
+	if r != 0 {
+		f.phys[f.cur[r]] = v
 	}
-	if r < numGlobals {
-		f.globals[r] = v
-		return
-	}
-	f.buf[f.index(f.cwp, r)] = v
+}
+
+// badRegister is the panic value of an access past r31 (a simulator
+// bug, not guest input); a plain conversion keeps Get and Set
+// inlinable.
+type badRegister uint8
+
+func (r badRegister) Error() string {
+	return fmt.Sprintf("regfile: register r%d out of range", uint8(r))
+}
+
+// setCWP moves the current window pointer and its register map.
+func (f *File) setCWP(w int) {
+	f.cwp = w
+	f.cur = &f.maps[w]
 }
 
 // Call advances the window for a CALL. If the advance overflows, it spills
@@ -177,7 +209,7 @@ func (f *File) Call() (spilled []uint32) {
 	if f.depth > f.maxDepth {
 		f.maxDepth = f.depth
 	}
-	f.cwp = (f.cwp + 1) % f.cfg.Windows
+	f.setCWP((f.cwp + 1) % f.cfg.Windows)
 	if f.resident < f.cfg.MaxResident() {
 		f.resident++
 		return nil
@@ -186,7 +218,7 @@ func (f *File) Call() (spilled []uint32) {
 	f.Stats.Overflows++
 	w := f.oldest
 	spilled = make([]uint32, regsPerWindow)
-	copy(spilled, f.buf[w*regsPerWindow:(w+1)*regsPerWindow])
+	copy(spilled, f.phys[f.window(w):f.window(w+1)])
 	f.oldest = (f.oldest + 1) % f.cfg.Windows
 	return spilled
 }
@@ -198,7 +230,7 @@ func (f *File) Call() (spilled []uint32) {
 func (f *File) Return() (underflow bool) {
 	f.Stats.Returns++
 	f.depth--
-	f.cwp = mod(f.cwp-1, f.cfg.Windows)
+	f.setCWP(mod(f.cwp-1, f.cfg.Windows))
 	if f.resident > 1 {
 		f.resident--
 		return false
@@ -215,16 +247,17 @@ func (f *File) Refill(vals []uint32) {
 	if len(vals) != regsPerWindow {
 		panic(fmt.Sprintf("regfile: refill with %d values, want %d", len(vals), regsPerWindow))
 	}
-	w := f.cwp
-	copy(f.buf[w*regsPerWindow:(w+1)*regsPerWindow], vals)
+	copy(f.phys[f.window(f.cwp):f.window(f.cwp+1)], vals)
 }
 
 // Clone returns a deep copy of the register file — every physical
 // register, the window pointers, and the statistics. Machine snapshots
-// and forks use it; the clone shares nothing with the original.
+// and forks use it; the clone shares nothing mutable with the
+// original (the window maps are immutable).
 func (f *File) Clone() *File {
 	g := *f
-	g.buf = append([]uint32(nil), f.buf...)
+	g.phys = append([]uint32(nil), f.phys...)
+	g.setCWP(f.cwp)
 	return &g
 }
 
@@ -235,9 +268,8 @@ func (f *File) CopyFrom(src *File) {
 	if f.cfg != src.cfg {
 		panic(fmt.Sprintf("regfile: copy between geometries %+v and %+v", src.cfg, f.cfg))
 	}
-	f.globals = src.globals
-	copy(f.buf, src.buf)
-	f.cwp = src.cwp
+	copy(f.phys, src.phys)
+	f.setCWP(src.cwp)
 	f.oldest = src.oldest
 	f.resident = src.resident
 	f.depth = src.depth
@@ -248,11 +280,8 @@ func (f *File) CopyFrom(src *File) {
 // Reset restores the post-power-on state: all registers zero, CWP at
 // window zero, one resident activation, statistics cleared.
 func (f *File) Reset() {
-	f.globals = [numGlobals]uint32{}
-	for i := range f.buf {
-		f.buf[i] = 0
-	}
-	f.cwp = 0
+	clear(f.phys)
+	f.setCWP(0)
 	f.oldest = 0
 	f.resident = 1
 	f.depth = 0

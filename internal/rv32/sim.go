@@ -140,11 +140,44 @@ func (c *CPU) SetEntry(entry uint32) {
 
 // StepN executes up to n instructions, stopping early at a halt — the
 // loop under the embedded fuel driver's Run, RunContext and RunSteps.
+// The hit path walks the predecoded span at pc straight-line: one
+// cache lookup serves every instruction up to the first taken
+// transfer, invalid entry, page end, halt, or the n-th instruction. A
+// miss takes the slow path, miss.
 func (c *CPU) StepN(n uint64) {
-	for i := uint64(0); i < n && !c.halted; i++ {
-		c.Step()
+	for n > 0 && !c.halted {
+		span := c.icache.Span(c.pc)
+		if span == nil {
+			c.miss()
+			n--
+			continue
+		}
+		if uint64(len(span)) > n {
+			span = span[:n]
+		}
+		k, next := 0, c.pc
+		for k < len(span) {
+			e := &span[k]
+			if !e.Valid {
+				break
+			}
+			// exec takes the record by value, copied before it runs: a
+			// store by this instruction into its own word clears e in
+			// place.
+			c.exec(e.D)
+			k++
+			next += 4
+			if c.pc != next || c.halted {
+				break
+			}
+		}
+		c.icache.AddHits(uint64(k))
+		n -= uint64(k)
 	}
 }
+
+// Step executes one instruction.
+func (c *CPU) Step() { c.StepN(1) }
 
 func (c *CPU) fault(err error) {
 	c.halted = true
@@ -200,40 +233,30 @@ func (c *CPU) setReg(r uint8, v uint32) {
 	}
 }
 
-// Step executes one instruction.
-func (c *CPU) Step() {
-	if c.halted {
+// miss is StepN's slow path for one instruction the cache cannot
+// serve: fetch and decode, raising exactly the faults it always did,
+// refill the entry on success, and execute.
+func (c *CPU) miss() {
+	c.icache.CountMiss()
+	w, err := c.Mem.FetchWord(c.pc)
+	if err != nil {
+		c.fault(fmt.Errorf("rv32: fetch at %#08x: %w", c.pc, err))
 		return
 	}
-	pcStart := c.pc
-	var in Inst
-	if d := c.icache.Lookup(c.pc); d != nil {
-		in = *d
-	} else {
-		c.icache.CountMiss()
-		w, err := c.Mem.FetchWord(c.pc)
-		if err != nil {
-			c.fault(fmt.Errorf("rv32: fetch at %#08x: %w", c.pc, err))
-			return
-		}
-		if in, err = Decode(w); err != nil {
-			c.fault(fmt.Errorf("rv32: at %#08x: %w", c.pc, err))
-			return
-		}
-		c.icache.Fill(c.pc, in)
-	}
-
-	cycles := uint64(costBase)
-	if !c.exec(in, &cycles) {
+	in, err := Decode(w)
+	if err != nil {
+		c.fault(fmt.Errorf("rv32: at %#08x: %w", c.pc, err))
 		return
 	}
-	if c.Obs != nil {
-		c.observe(pcStart, infos[in.Op].Name, cycles)
-	}
-	c.Trace.ExecHandle(c.opHandles[in.Op], cycles)
+	c.icache.Fill(c.pc, in)
+	c.exec(in)
 }
 
-func (c *CPU) exec(in Inst, cycles *uint64) bool {
+// exec executes one decoded instruction and accounts for it; a faulting
+// instruction halts the machine and is not counted.
+func (c *CPU) exec(in Inst) {
+	pcStart := c.pc
+	cycles := uint64(costBase)
 	next := c.pc + 4
 	r1, r2 := c.R[in.Rs1], c.R[in.Rs2]
 
@@ -246,7 +269,7 @@ func (c *CPU) exec(in Inst, cycles *uint64) bool {
 	case JAL:
 		target := c.pc + uint32(in.Imm)
 		c.setReg(in.Rd, next)
-		*cycles += costBranchTaken
+		cycles += costBranchTaken
 		if in.Rd == RegRA {
 			c.callEnter(target)
 		}
@@ -255,7 +278,7 @@ func (c *CPU) exec(in Inst, cycles *uint64) bool {
 		target := (r1 + uint32(in.Imm)) &^ 1
 		isRet := in.Rd == RegZero && in.Rs1 == RegRA
 		c.setReg(in.Rd, next)
-		*cycles += costBranchTaken
+		cycles += costBranchTaken
 		if in.Rd == RegRA {
 			c.callEnter(target)
 		} else if isRet {
@@ -280,7 +303,7 @@ func (c *CPU) exec(in Inst, cycles *uint64) bool {
 			taken = r1 >= r2
 		}
 		if taken {
-			*cycles += costBranchTaken
+			cycles += costBranchTaken
 			c.Stats.BranchesTaken++
 			next = c.pc + uint32(in.Imm)
 		} else {
@@ -288,7 +311,7 @@ func (c *CPU) exec(in Inst, cycles *uint64) bool {
 		}
 
 	case LB, LBU, LW:
-		*cycles += costMemExtra
+		cycles += costMemExtra
 		addr := r1 + uint32(in.Imm)
 		var v uint32
 		var err error
@@ -303,11 +326,11 @@ func (c *CPU) exec(in Inst, cycles *uint64) bool {
 		}
 		if err != nil {
 			c.fault(fmt.Errorf("rv32: at %#08x: %w", c.pc, err))
-			return false
+			return
 		}
 		c.setReg(in.Rd, v)
 	case SB, SW:
-		*cycles += costMemExtra
+		cycles += costMemExtra
 		addr := r1 + uint32(in.Imm)
 		var err error
 		if in.Op == SW {
@@ -317,7 +340,7 @@ func (c *CPU) exec(in Inst, cycles *uint64) bool {
 		}
 		if err != nil {
 			c.fault(fmt.Errorf("rv32: at %#08x: %w", c.pc, err))
-			return false
+			return
 		}
 
 	case ADDI:
@@ -361,15 +384,15 @@ func (c *CPU) exec(in Inst, cycles *uint64) bool {
 		c.setReg(in.Rd, r1&r2)
 
 	case MUL:
-		*cycles += costMul
+		cycles += costMul
 		c.Stats.MulDivOps++
 		c.setReg(in.Rd, r1*r2)
 	case DIV:
-		*cycles += costDiv
+		cycles += costDiv
 		c.Stats.MulDivOps++
 		c.setReg(in.Rd, uint32(div32(int32(r1), int32(r2))))
 	case REM:
-		*cycles += costDiv
+		cycles += costDiv
 		c.Stats.MulDivOps++
 		c.setReg(in.Rd, uint32(rem32(int32(r1), int32(r2))))
 
@@ -377,14 +400,17 @@ func (c *CPU) exec(in Inst, cycles *uint64) bool {
 		c.halted = true
 	case EBREAK:
 		c.fault(fmt.Errorf("rv32: ebreak at %#08x", c.pc))
-		return false
+		return
 
 	default:
 		c.fault(fmt.Errorf("rv32: unimplemented opcode %v", infos[in.Op].Name))
-		return false
+		return
 	}
 	c.pc = next
-	return true
+	if c.Obs != nil {
+		c.observe(pcStart, infos[in.Op].Name, cycles)
+	}
+	c.Trace.ExecHandle(c.opHandles[in.Op], cycles)
 }
 
 func boolReg(b bool) uint32 {

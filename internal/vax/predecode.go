@@ -51,6 +51,7 @@ type predecoded struct {
 	spec  [3]specifier
 	op    Op
 	nspec uint8
+	size  uint8 // instruction bytes: the span walk's stride
 }
 
 // peek reads n instruction-stream bytes big-endian at addr without
@@ -145,6 +146,7 @@ func (c *CPU) decodeStatic(pc uint32) (predecoded, bool) {
 		s.n = uint8(1 + ext)
 		at += uint32(1 + ext)
 	}
+	d.size = uint8(at - pc)
 	return d, true
 }
 

@@ -98,9 +98,11 @@ done:	halt
 
 // FuzzCISCCacheDifferential runs arbitrary bytes as CISC code — loaded
 // at address 0, their first eight bytes also at the end of memory — for
-// a bounded number of steps on two machines, predecode cache on and off:
-// registers, flags, pc, statistics and the halt error must agree —
-// including for code that faults mid-instruction or overwrites itself.
+// a bounded number of steps on two machines, predecode cache on and off,
+// splitting the budget into fuzz-chosen StepN slices so runs stop in the
+// middle of spans: registers, flags, pc, statistics and the halt error
+// must agree after every slice — including for code that faults
+// mid-instruction or overwrites itself.
 func FuzzCISCCacheDifferential(f *testing.F) {
 	for _, src := range []string{
 		"start:\tmovl $40, r0\n\taddl2 $2, r0\n\tsubl3 $2, r0, r1\n\thalt\n",
@@ -112,15 +114,15 @@ func FuzzCISCCacheDifferential(f *testing.F) {
 		if err != nil {
 			f.Fatal(err)
 		}
-		f.Add(prog.Segments[0].Data)
+		f.Add(prog.Segments[0].Data, []byte{1, 3, 200})
 	}
 	// jmp to 0xffe, where the tail copy holds "movl $…": the literal
 	// runs off the end of memory mid-instruction.
-	f.Add([]byte{byte(JMP), 0x71, 0, 0, 0x0f, 0xfe, byte(MOVL), 0x70})
-	f.Add([]byte{byte(ADDL3), 0x51, 0x08, 0x52}) // bad mode in the second specifier
+	f.Add([]byte{byte(JMP), 0x71, 0, 0, 0x0f, 0xfe, byte(MOVL), 0x70}, []byte{})
+	f.Add([]byte{byte(ADDL3), 0x51, 0x08, 0x52}, []byte{}) // bad mode in the second specifier
 	const memSize = 1 << 12
-	f.Fuzz(func(t *testing.T, code []byte) {
-		if len(code) > 512 {
+	f.Fuzz(func(t *testing.T, code, slices []byte) {
+		if len(code) > 512 || len(slices) > 64 {
 			return
 		}
 		tail := code[:min(len(code), 8)] // also placed at the end of memory
@@ -134,11 +136,22 @@ func FuzzCISCCacheDifferential(f *testing.F) {
 			if err := c.Mem.WriteBytes(0, code); err != nil {
 				t.Fatal(err)
 			}
-			c.StepN(256)
+			// Budget 256 in fuzz-chosen slices (a zero byte means 1).
+			left := uint64(256)
+			for _, b := range slices {
+				n := min(uint64(max(b, 1)), left)
+				c.StepN(n)
+				left -= n
+				states = append(states, stateOf(c))
+			}
+			c.StepN(left)
 			states = append(states, stateOf(c))
 		}
-		if states[0] != states[1] {
-			t.Fatalf("icache and nocache runs differ on % x:\n%+v\n%+v", code, states[0], states[1])
+		half := len(states) / 2
+		for i := range half {
+			if states[i] != states[half+i] {
+				t.Fatalf("slice %d: icache and nocache runs differ on % x:\n%+v\n%+v", i, code, states[i], states[half+i])
+			}
 		}
 	})
 }

@@ -147,11 +147,39 @@ func (c *CPU) SetEntry(entry uint32) {
 
 // StepN executes up to n instructions, stopping early at a halt — the
 // loop under the embedded fuel driver's Run, RunContext and RunSteps.
+// The hit path walks the byte-granular predecoded span at pc
+// straight-line, stepping by each instruction's length: one cache
+// lookup serves every instruction up to the first taken transfer,
+// invalid entry, page end, halt, or the n-th instruction. A miss takes
+// the slow path, miss.
 func (c *CPU) StepN(n uint64) {
-	for i := uint64(0); i < n && !c.halted; i++ {
-		c.Step()
+	for n > 0 && !c.halted {
+		span := c.icache.Span(c.pc)
+		if span == nil {
+			c.miss()
+			n--
+			continue
+		}
+		k, off, base := uint64(0), 0, c.pc
+		for off < len(span) && k < n {
+			e := &span[off]
+			if !e.Valid {
+				break
+			}
+			off += int(e.D.size) // read before the instruction can clear e
+			c.stepDecoded(&e.D)
+			k++
+			if c.pc != base+uint32(off) || c.halted {
+				break
+			}
+		}
+		c.icache.AddHits(k)
+		n -= k
 	}
 }
+
+// Step executes one instruction.
+func (c *CPU) Step() { c.StepN(1) }
 
 func (c *CPU) fault(err error) {
 	c.halted = true
@@ -439,19 +467,13 @@ func (c *CPU) pop(cycles *uint64) (uint32, bool) {
 	return v, true
 }
 
-// Step executes one instruction. With the icache on, an instruction
-// whose static decode succeeds runs from its predecoded record
+// miss is StepN's slow path for one instruction the cache cannot
+// serve. With the icache on, an instruction whose static decode
+// succeeds is filled and runs from its predecoded record
 // (stepDecoded); one whose decode would fault, and every instruction
 // with NoICache, runs on the bytewise fetch path below, which raises
 // each fault at the byte it always did.
-func (c *CPU) Step() {
-	if c.halted {
-		return
-	}
-	if d := c.icache.Lookup(c.pc); d != nil {
-		c.stepDecoded(d)
-		return
-	}
+func (c *CPU) miss() {
 	c.icache.CountMiss()
 	if c.icache != nil {
 		if d, ok := c.decodeStatic(c.pc); ok {
