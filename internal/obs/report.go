@@ -185,8 +185,15 @@ func ProfileSection(p *Profiler, symtab *SymTab, disasm func(pc uint32) (string,
 }
 
 // JSON marshals the report with stable two-space indentation and a
-// trailing newline. The output is byte-identical for identical runs.
+// trailing newline, exactly as json.MarshalIndent lays it out. The
+// output is byte-identical for identical runs.
 func (r *Report) JSON() ([]byte, error) {
+	w := jsonWriter{b: make([]byte, 0, 4096), finite: true}
+	w.report(r)
+	if w.finite {
+		return append(w.b, '\n'), nil
+	}
+	// Let encoding/json report the unsupported value.
 	b, err := json.MarshalIndent(r, "", "  ")
 	if err != nil {
 		return nil, err
