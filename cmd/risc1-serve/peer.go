@@ -162,9 +162,10 @@ func (p *peering) maybePurge() {
 
 // peerResult is a home replica's response, relayed verbatim.
 type peerResult struct {
-	status int
-	cache  string // the home's X-Risc1-Cache header
-	body   []byte
+	status  int
+	cache   string // the home's X-Risc1-Cache header
+	body    []byte
+	outcome string // peerOutcome(body), classified once when fetched
 }
 
 // peerRefusal is a home's wire-level rejection of a relay (the
@@ -262,9 +263,10 @@ func (p *peering) fetch(ctx context.Context, home string, spec exec.Spec, timeou
 		return nil, err
 	}
 	return &peerResult{
-		status: resp.StatusCode,
-		cache:  resp.Header.Get(CacheHeader),
-		body:   raw,
+		status:  resp.StatusCode,
+		cache:   resp.Header.Get(CacheHeader),
+		body:    raw,
+		outcome: peerOutcome(raw),
 	}, nil
 }
 
@@ -277,7 +279,7 @@ func (p *peering) fetch(ctx context.Context, home string, spec exec.Spec, timeou
 // home's answer and relay verbatim, exactly as a single replica would
 // produce them.
 func relayRefusal(pr *peerResult) error {
-	switch out := peerOutcome(pr.body); out {
+	switch pr.outcome {
 	case "invalid":
 		return fmt.Errorf("peer answered status %d with a non-v1 body", pr.status)
 	case codePeerProtocol:
@@ -292,7 +294,7 @@ func relayRefusal(pr *peerResult) error {
 // same set the result cache itself stores. Deadline results, 5xx, and
 // backpressure are moments, not facts.
 func peerCacheable(pr *peerResult) bool {
-	switch peerOutcome(pr.body) {
+	switch pr.outcome {
 	case "ok", codeCompileError, codeFuelExceeded:
 		return true
 	}
@@ -301,7 +303,8 @@ func peerCacheable(pr *peerResult) bool {
 
 // peerOutcome classifies a relayed response body for metrics and
 // cacheability: "ok", the error code, or "invalid" when the body is not
-// a v1 response.
+// a v1 response. fetch runs it once per relay; the result travels with
+// the bytes, so a peer-cache hit decodes nothing.
 func peerOutcome(body []byte) string {
 	var r struct {
 		Status string `json:"status"`

@@ -1,6 +1,7 @@
 package main
 
 import (
+	"bytes"
 	"context"
 	"encoding/json"
 	"errors"
@@ -162,14 +163,61 @@ type apiError struct {
 
 // runResponse is the body of every /v1/run and /v1/jobs reply (schema
 // risc1.run-response/v1). Exactly one of Status ("ok" / "pending") or
-// Error is set.
+// Error is set. The report travels as the bytes the result cache
+// stored, so writing a response never encodes it again.
 type runResponse struct {
-	Schema string      `json:"schema"`
-	ID     string      `json:"id,omitempty"` // async jobs only
-	Status string      `json:"status,omitempty"`
-	Value  *int32      `json:"value,omitempty"`
-	Report *obs.Report `json:"report,omitempty"`
-	Error  *apiError   `json:"error,omitempty"`
+	Schema string          `json:"schema"`
+	ID     string          `json:"id,omitempty"` // async jobs only
+	Status string          `json:"status,omitempty"`
+	Value  *int32          `json:"value,omitempty"`
+	Report json.RawMessage `json:"report,omitempty"`
+	Error  *apiError       `json:"error,omitempty"`
+}
+
+// appendJSON appends the response laid out exactly as
+// json.MarshalIndent(r, "", "  ") lays it out, plus a newline: the
+// envelope is written by hand and the stored report is spliced in one
+// level deeper.
+func (r *runResponse) appendJSON(b []byte) []byte {
+	b = append(b, "{\n  \"schema\": "...)
+	b = obs.AppendJSONString(b, r.Schema)
+	if r.ID != "" {
+		b = append(b, ",\n  \"id\": "...)
+		b = obs.AppendJSONString(b, r.ID)
+	}
+	if r.Status != "" {
+		b = append(b, ",\n  \"status\": "...)
+		b = obs.AppendJSONString(b, r.Status)
+	}
+	if r.Value != nil {
+		b = append(b, ",\n  \"value\": "...)
+		b = strconv.AppendInt(b, int64(*r.Value), 10)
+	}
+	if len(r.Report) > 0 {
+		b = append(b, ",\n  \"report\": "...)
+		// Every newline in the report is structural — encoded JSON
+		// strings never hold a raw one — so two spaces after each
+		// re-indents it to depth 1.
+		rep := bytes.TrimSuffix(r.Report, []byte("\n"))
+		for {
+			i := bytes.IndexByte(rep, '\n')
+			if i < 0 {
+				break
+			}
+			b = append(b, rep[:i+1]...)
+			b = append(b, "  "...)
+			rep = rep[i+1:]
+		}
+		b = append(b, rep...)
+	}
+	if r.Error != nil {
+		b = append(b, ",\n  \"error\": {\n    \"code\": "...)
+		b = obs.AppendJSONString(b, r.Error.Code)
+		b = append(b, ",\n    \"message\": "...)
+		b = obs.AppendJSONString(b, r.Error.Message)
+		b = append(b, "\n  }"...)
+	}
+	return append(b, "\n}\n"...)
 }
 
 // errResponse builds an envelope-only response.
@@ -284,15 +332,25 @@ func (s *Server) Handler() http.Handler {
 	return mux
 }
 
+// respBufs recycles response buffers: a cache hit then writes its
+// stored report without allocating. Buffers past 64 KiB (reports with
+// long depth histograms) are left to the collector rather than pinned.
+var respBufs = sync.Pool{New: func() any { return new([]byte) }}
+
+// writeJSON writes a /v1/run or /v1/jobs response. It cannot fail: the
+// only value encoding/json could refuse, a report with a non-finite
+// float, was refused before it reached a response (exec.Cached answers
+// it as an uncached run error).
 func writeJSON(w http.ResponseWriter, resp *runResponse) {
-	b, err := json.MarshalIndent(resp, "", "  ")
-	if err != nil {
-		http.Error(w, err.Error(), http.StatusInternalServerError)
-		return
-	}
+	bp := respBufs.Get().(*[]byte)
+	b := resp.appendJSON((*bp)[:0])
 	w.Header().Set("Content-Type", "application/json")
 	w.WriteHeader(httpStatus(resp))
-	w.Write(append(b, '\n'))
+	w.Write(b) // a Writer never retains p, so the buffer is free again
+	if cap(b) <= 64<<10 {
+		*bp = b
+		respBufs.Put(bp)
+	}
 }
 
 // outcomeLabel is the histogram's outcome label value for a response:
@@ -403,7 +461,7 @@ func (s *Server) handleRun(w http.ResponseWriter, r *http.Request) {
 		go func() {
 			defer release()
 			cr, outcome, err := s.cached.Run(context.Background(), spec, timeout)
-			entry.resp = s.respFor(id, spec, cr, err)
+			entry.resp = respFor(id, cr, err)
 			observe(entry.resp, string(outcome))
 			close(entry.done)
 		}()
@@ -436,7 +494,7 @@ func (s *Server) handleRun(w http.ResponseWriter, r *http.Request) {
 				w.Header().Set("Content-Type", "application/json")
 				w.WriteHeader(pr.status)
 				w.Write(pr.body)
-				s.latency.Observe(time.Since(start), peerOutcome(pr.body), cacheLabel)
+				s.latency.Observe(time.Since(start), pr.outcome, cacheLabel)
 				return
 			}
 			if r.Context().Err() != nil {
@@ -462,7 +520,7 @@ func (s *Server) handleRun(w http.ResponseWriter, r *http.Request) {
 	// hangs up must not fail the computation for coalesced followers.
 	cr, outcome, err := s.cached.Run(context.Background(), spec, timeout)
 	w.Header().Set(CacheHeader, string(outcome))
-	resp := s.respFor("", spec, cr, err)
+	resp := respFor("", cr, err)
 	observe(resp, string(outcome))
 	writeJSON(w, resp)
 }
@@ -507,7 +565,7 @@ func (s *Server) specFor(req runRequest) (exec.Spec, time.Duration, *runResponse
 // respFor classifies a finished (or cached) run into the response
 // vocabulary. infraErr is a failure of the serving machinery itself
 // (pool closed), distinct from the run's own outcome in cr.Err.
-func (s *Server) respFor(id string, spec exec.Spec, cr exec.CachedResult, infraErr error) *runResponse {
+func respFor(id string, cr exec.CachedResult, infraErr error) *runResponse {
 	if infraErr != nil {
 		resp := errResponse(codeInternal, "%v", infraErr)
 		resp.ID = id
@@ -517,11 +575,8 @@ func (s *Server) respFor(id string, spec exec.Spec, cr exec.CachedResult, infraE
 	switch {
 	case cr.Err == nil:
 		resp.Status = "ok"
-		v := cr.Outcome.Value
-		resp.Value = &v
-		rep := cr.Outcome.Report
-		rep.Exec = &obs.ExecStat{Attempts: cr.Attempts, FuelLimit: spec.Fuel}
-		resp.Report = &rep
+		resp.Value = &cr.Value
+		resp.Report = cr.Report
 	case errors.As(cr.Err, new(*exec.CompileError)):
 		resp.Error = &apiError{Code: codeCompileError, Message: cr.Err.Error()}
 	case errors.Is(cr.Err, fuel.ErrExhausted):

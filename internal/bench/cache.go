@@ -66,8 +66,8 @@ func SweepCache(suite []Workload, repeats int) (CacheSweep, error) {
 		if out != rcache.Miss {
 			return sweep, fmt.Errorf("bench %s (cache): cold run classified %q, want miss", w.Name, out)
 		}
-		if cold.Outcome.Value != w.Expected {
-			return sweep, fmt.Errorf("bench %s (cache, cold): result %d, want %d", w.Name, cold.Outcome.Value, w.Expected)
+		if cold.Value != w.Expected {
+			return sweep, fmt.Errorf("bench %s (cache, cold): result %d, want %d", w.Name, cold.Value, w.Expected)
 		}
 
 		var hitTotal time.Duration
@@ -84,8 +84,8 @@ func SweepCache(suite []Workload, repeats int) (CacheSweep, error) {
 			if out != rcache.Hit {
 				return sweep, fmt.Errorf("bench %s (cache): hot run %d classified %q, want hit", w.Name, i, out)
 			}
-			if hot.Outcome.Value != w.Expected {
-				return sweep, fmt.Errorf("bench %s (cache, hot %d): result %d, want %d", w.Name, i, hot.Outcome.Value, w.Expected)
+			if hot.Value != w.Expected {
+				return sweep, fmt.Errorf("bench %s (cache, hot %d): result %d, want %d", w.Name, i, hot.Value, w.Expected)
 			}
 		}
 		hitMS := float64(hitTotal.Microseconds()) / 1000 / float64(repeats)

@@ -10,9 +10,9 @@ import (
 
 // TestHotLoopAllocFreeObserverOff guards the observability layer's
 // compile-to-nil contract: with no observer attached, the straight-line
-// interpreter loop allocates nothing per instruction. (Window
-// spills/refills allocate their transfer buffer; the test program
-// makes no calls so the loop path is isolated.)
+// interpreter loop allocates nothing per instruction. The test program
+// makes no calls so the loop path is isolated;
+// TestWindowTrapsAllocFree covers calls.
 func TestHotLoopAllocFreeObserverOff(t *testing.T) {
 	prog, err := asm.Assemble(`
 main:	add r1, r0, 0
@@ -34,6 +34,37 @@ loop:	add r1, r1, 1
 	allocs := testing.AllocsPerRun(1000, func() { c.Step() })
 	if allocs != 0 {
 		t.Errorf("Step allocates %.2f objects per instruction with Obs=nil, want 0", allocs)
+	}
+}
+
+// TestWindowTrapsAllocFree: a recursion on two windows overflows (and
+// later underflows) on every call, and stepping through it allocates
+// nothing — the spill travels in the register file's own buffer.
+func TestWindowTrapsAllocFree(t *testing.T) {
+	prog, err := asm.Assemble(strings.Replace(fibSrc, "N, 12", "N, 20", 1), asm.Options{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	c := New(Config{Windows: 2})
+	c.Reset(prog.Entry)
+	if err := prog.LoadInto(c.Mem); err != nil {
+		t.Fatal(err)
+	}
+	c.StepN(4096) // warm the icache and the save-stack pages
+	before := c.Regs.Stats
+	allocs := testing.AllocsPerRun(100, func() { c.StepN(256) })
+	if halted, err := c.Halted(); halted {
+		t.Fatalf("fib(20) halted inside the measured steps: %v", err)
+	}
+	calls := c.Regs.Stats.Calls - before.Calls
+	if over := c.Regs.Stats.Overflows - before.Overflows; over == 0 || over != calls {
+		t.Fatalf("%d overflows in %d calls, want one per call", over, calls)
+	}
+	if c.Regs.Stats.Underflows == before.Underflows {
+		t.Fatal("no underflows in the measured steps")
+	}
+	if allocs != 0 {
+		t.Errorf("256 steps of a two-window recursion allocate %.0f objects, want 0", allocs)
 	}
 }
 

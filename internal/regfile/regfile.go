@@ -91,6 +91,9 @@ type File struct {
 	resident int // number of resident activations, 1..Windows-1
 	depth    int // call depth relative to reset, for statistics
 	maxDepth int
+	// spill is the span an overflowing Call hands back, owned here so
+	// an overflow allocates nothing; an array, so Clone copies it.
+	spill [SpillRegs]uint32
 
 	// Stats accumulates window events for the paper's experiments.
 	Stats Stats
@@ -203,6 +206,7 @@ func (f *File) setCWP(w int) {
 // the oldest resident activation internally and returns its 16-register
 // private span (HIGH block then locals) so the CPU's trap sequence can
 // write it to the register-save stack in memory; otherwise it returns nil.
+// The span is a buffer the File owns, valid until the next Call.
 func (f *File) Call() (spilled []uint32) {
 	f.Stats.Calls++
 	f.depth++
@@ -217,10 +221,9 @@ func (f *File) Call() (spilled []uint32) {
 	// Overflow: evict the oldest activation's window span.
 	f.Stats.Overflows++
 	w := f.oldest
-	spilled = make([]uint32, regsPerWindow)
-	copy(spilled, f.phys[f.window(w):f.window(w+1)])
+	copy(f.spill[:], f.phys[f.window(w):f.window(w+1)])
 	f.oldest = (f.oldest + 1) % f.cfg.Windows
-	return spilled
+	return f.spill[:]
 }
 
 // Return retreats the window for a RET. It reports whether the retreat

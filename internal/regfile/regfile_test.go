@@ -177,7 +177,9 @@ func TestDeepRecursionPreservesLocals(t *testing.T) {
 			if depth < 40 {
 				f.Set(10, uint32(depth)) // outgoing param
 				if sp := f.Call(); sp != nil {
-					stack = append(stack, sp)
+					// The span is valid until the next Call: save it, as
+					// the CPU's trap sequence stores it to memory at once.
+					stack = append(stack, append([]uint32(nil), sp...))
 				}
 				if got := f.Get(26); got != uint32(depth) {
 					t.Fatalf("w=%d depth=%d: param not passed, got %d", windows, depth, got)
@@ -225,7 +227,7 @@ func TestRandomCallTreeProperty(t *testing.T) {
 			}
 			for k := 0; k < kids; k++ {
 				if sp := rf.Call(); sp != nil {
-					stack = append(stack, sp)
+					stack = append(stack, append([]uint32(nil), sp...))
 				}
 				walk(depth + 1)
 				if rf.Return() {
@@ -258,7 +260,9 @@ func TestOverflowRateFallsWithWindows(t *testing.T) {
 			}
 			for _, k := range []int{n - 1, n - 2} {
 				if sp := f.Call(); sp != nil {
-					stack = append(stack, sp)
+					// The span is valid until the next Call: save it, as
+					// the CPU's trap sequence stores it to memory at once.
+					stack = append(stack, append([]uint32(nil), sp...))
 				}
 				fib(k)
 				if f.Return() {
@@ -389,6 +393,51 @@ func TestWindowMapsMatchFormula(t *testing.T) {
 				f.Refill(vals)
 			}
 			visit()
+		}
+	}
+}
+
+// TestOverflowAllocatesNothing: with two windows every call overflows,
+// and a chain of them hands back the File's own spill buffer each time
+// instead of allocating one.
+func TestOverflowAllocatesNothing(t *testing.T) {
+	f := New(Config{Windows: 2})
+	f.Call() // the first call already overflows with two windows
+	before := f.Stats.Overflows
+	allocs := testing.AllocsPerRun(100, func() {
+		for i := 0; i < 16; i++ {
+			if f.Call() == nil {
+				t.Fatal("call with two windows did not overflow")
+			}
+		}
+	})
+	if allocs != 0 {
+		t.Errorf("16 overflowing calls allocate %.0f objects, want 0", allocs)
+	}
+	if got := f.Stats.Overflows - before; got != 101*16 {
+		t.Errorf("overflows = %d, want %d", got, 101*16)
+	}
+}
+
+// TestSpillBufferNotShared: a Clone or a CopyFrom target overflows into
+// its own buffer, never into the one the original handed out.
+func TestSpillBufferNotShared(t *testing.T) {
+	f := New(Config{Windows: 2})
+	f.Set(16, 7)
+	spilled := f.Call() // two windows: the first call spills the window holding 7
+	if spilled[overlap] != 7 {
+		t.Fatalf("spilled local = %d, want 7", spilled[overlap])
+	}
+	g := f.Clone()
+	h := New(Config{Windows: 2})
+	h.CopyFrom(f)
+	for _, other := range []*File{g, h} {
+		other.Set(16, 9)
+		if sp := other.Call(); sp[overlap] != 9 {
+			t.Fatalf("other file spilled local = %d, want 9", sp[overlap])
+		}
+		if spilled[overlap] != 7 {
+			t.Errorf("another file's overflow rewrote this file's spill buffer: local = %d, want 7", spilled[overlap])
 		}
 	}
 }
