@@ -14,8 +14,6 @@
 //	risc1-bench -report out.json # machine-readable report of every run
 //	risc1-bench -O0              # compile the workloads unoptimized
 //	risc1-bench -parallel 8      # run the sweep on 8 workers
-//	risc1-bench -cache           # cold-vs-cached latency of the result cache
-//	risc1-bench -warmstart       # full-prelude vs image-restore request latency
 package main
 
 import (
@@ -38,10 +36,6 @@ func main() {
 	reportOut := flag.String("report", "", `write a machine-readable JSON bench report (one run report per workload and machine) to FILE ("-" = stdout)`)
 	opt := flag.Int("opt", 1, "MiniC optimization level, also spelled -O0/-O1")
 	parallel := flag.Int("parallel", runtime.GOMAXPROCS(0), "simulator workers for the sweeps; output is byte-identical at any setting")
-	cacheSweep := flag.Bool("cache", false, "measure the content-addressed result cache: cold vs cached request latency (host time)")
-	cacheRepeats := flag.Int("cache-repeats", 5, "hot requests per workload for -cache")
-	warmStart := flag.Bool("warmstart", false, "measure warm-start serving: full prelude vs image-restore request latency (host time)")
-	warmStartRepeats := flag.Int("warmstart-repeats", 20, "interleaved cold/warm request pairs for -warmstart")
 	flag.CommandLine.Parse(cc.NormalizeOptFlags(os.Args[1:]))
 	bench.NoICache = *noICache
 	bench.OptLevel = *opt
@@ -54,9 +48,7 @@ func main() {
 
 	want := func(list, name string) bool {
 		if *tables == "" && *figs == "" {
-			// -cache or -warmstart alone measure just that; combine them
-			// with -table/-fig to also regenerate paper artifacts.
-			return !*cacheSweep && !*warmStart
+			return true
 		}
 		for _, n := range strings.Split(list, ",") {
 			if strings.TrimSpace(n) == name {
@@ -135,22 +127,6 @@ func main() {
 			fatal(err)
 		}
 		fmt.Fprintln(out, bench.FigAblation(rows))
-	}
-	if *cacheSweep {
-		fmt.Fprintln(os.Stderr, "measuring the result cache...")
-		sweep, err := bench.SweepCache(suite, *cacheRepeats)
-		if err != nil {
-			fatal(err)
-		}
-		fmt.Fprintln(out, bench.TableCacheSweep(sweep))
-	}
-	if *warmStart {
-		fmt.Fprintln(os.Stderr, "measuring warm-start serving...")
-		sweep, err := bench.SweepWarmStart(*warmStartRepeats)
-		if err != nil {
-			fatal(err)
-		}
-		fmt.Fprintln(out, bench.TableWarmStart(sweep))
 	}
 	if *reportOut != "" {
 		r := obs.NewBenchReport(*scale, bench.Reports(cs))

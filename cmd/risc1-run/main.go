@@ -33,6 +33,7 @@ import (
 	"risc1/internal/cpu"
 	"risc1/internal/machine"
 	"risc1/internal/obs"
+	"risc1/internal/regfile"
 )
 
 func main() {
@@ -55,6 +56,12 @@ func main() {
 	if flag.NArg() != 1 {
 		fmt.Fprintln(os.Stderr, "usage: risc1-run [flags] file.s|file.c")
 		os.Exit(2)
+	}
+	if *windows != 0 {
+		if err := (regfile.Config{Windows: *windows}).Validate(); err != nil {
+			fmt.Fprintln(os.Stderr, "risc1-run:", err)
+			os.Exit(2)
+		}
 	}
 	src, err := os.ReadFile(flag.Arg(0))
 	if err != nil {

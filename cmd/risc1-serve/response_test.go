@@ -84,7 +84,7 @@ func TestRunResponseMatchesEncodingJSON(t *testing.T) {
 			}
 			out := res.Value.(exec.Outcome)
 			rep := out.Report
-			rep.Exec = &obs.ExecStat{Attempts: res.Attempts, FuelLimit: spec.Fuel}
+			rep.Exec = &obs.ExecStat{Attempts: 1, FuelLimit: spec.Fuel}
 			b, err := rep.JSON()
 			if err != nil {
 				t.Fatal(err)

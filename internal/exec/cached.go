@@ -21,9 +21,9 @@ import (
 // program occupies one worker, not the whole pool.
 //
 // Results whose outcome depends on wall-clock scheduling — deadline
-// expiry, cancellation, panics, transient infrastructure errors — are
-// returned but never stored; only deterministic outcomes (success,
-// compile errors, fuel exhaustion) are cacheable.
+// expiry, cancellation, panics, pool shutdown — are returned but never
+// stored; only deterministic outcomes (success, compile errors, fuel
+// exhaustion) are cacheable.
 type Cached struct {
 	pool  *Pool
 	cache *rcache.Cache
@@ -50,10 +50,8 @@ type CachedResult struct {
 	// Value is the run's result; meaningful when Err is nil.
 	Value int32
 	// Report is the run report with the engine's accounting stamped in
-	// (Report.Exec: the pool's attempt count and the fuel limit),
-	// exactly as Report.JSON renders it; set when Err is nil. A hit
-	// replays the original attempt count with these bytes, keeping
-	// reports byte-identical.
+	// (Report.Exec: one attempt and the fuel limit), exactly as
+	// Report.JSON renders it; set when Err is nil.
 	Report []byte
 	// Err is the run's deterministic failure (compile error, fuel
 	// exhaustion, guest fault) or — on uncached paths only — a
@@ -84,7 +82,9 @@ func (c *Cached) Run(ctx context.Context, spec Spec, timeout time.Duration) (Cac
 		if res.Err == nil {
 			o := res.Value.(Outcome)
 			cr.Value = o.Value
-			o.Report.Exec = &obs.ExecStat{Attempts: res.Attempts, FuelLimit: spec.Fuel}
+			// The pool runs every job once; the report schema keeps the
+			// attempt count, so it always reads 1.
+			o.Report.Exec = &obs.ExecStat{Attempts: 1, FuelLimit: spec.Fuel}
 			// The one encode of this report. The stored copy is exact-size:
 			// the encoder's buffer has room to spare, and every cache entry
 			// would pin it.
@@ -129,8 +129,8 @@ func cacheable(err error) bool {
 	case errors.Is(err, fuel.ErrExhausted):
 		return true
 	default:
-		// Deadlines, cancellations, panics, pool shutdown, transient
-		// infrastructure errors: correct for this request only.
+		// Deadlines, cancellations, panics, pool shutdown: correct for
+		// this request only.
 		return false
 	}
 }

@@ -13,8 +13,6 @@
 //     via context.Context.
 //   - Panic isolation: a crashing guest (or job function) fails its own
 //     job with a *PanicError; the worker and the pool survive.
-//   - Bounded retry: errors wrapped with Transient are re-run up to
-//     Config.Retries times; everything else fails fast.
 //   - Graceful drain: Close stops intake and waits for queued and
 //     running jobs; Shutdown additionally cancels them.
 package exec
@@ -42,20 +40,18 @@ type Job struct {
 	// Key identifies the job in its Result; batch callers use it to
 	// label failures. It does not need to be unique.
 	Key string
-	// Timeout bounds the job's wall-clock run, all attempts included.
-	// Zero uses the pool default; negative disables the limit.
+	// Timeout bounds the job's wall-clock run; zero or less means no
+	// limit.
 	Timeout time.Duration
-	// Fn does the work. Returning an error wrapped with Transient asks
-	// for a retry.
+	// Fn does the work.
 	Fn func(ctx context.Context, sims *Sims) (any, error)
 }
 
 // Result is a finished job.
 type Result struct {
-	Key      string
-	Value    any
-	Err      error
-	Attempts int // 1 unless transient retries happened
+	Key   string
+	Value any
+	Err   error
 }
 
 // Config sizes the pool.
@@ -66,24 +62,17 @@ type Config struct {
 	// Queue is how many accepted jobs may wait beyond the ones running;
 	// <=0 means twice Workers. Submit blocks when the queue is full.
 	Queue int
-	// Retries is the maximum number of re-runs after a transient
-	// failure (so a job runs at most Retries+1 times).
-	Retries int
-	// DefaultTimeout bounds jobs that do not set their own; zero means
-	// no limit.
-	DefaultTimeout time.Duration
 	// ProgramCacheBytes budgets the pool-wide compiled-program cache
 	// (level 1 of internal/rcache): identical sources compile once
 	// pool-wide instead of once per job. Zero means a 64 MiB default;
 	// negative disables the cache.
 	ProgramCacheBytes int64
-	// ImageCacheBytes budgets the pool-wide warm-start image cache:
-	// compiled+initialized machine snapshots that runs re-enter in
-	// O(touched pages) instead of repeating the Reset+load prelude.
-	// Zero means a 256 MiB default; negative disables the cache (each
-	// run then builds a private image — still correct, just cold).
-	ImageCacheBytes int64
 }
+
+// imageCacheBytes budgets the pool-wide warm-start image cache:
+// compiled+initialized machine snapshots that runs re-enter in
+// O(touched pages) instead of repeating the Reset+load prelude.
+const imageCacheBytes = 256 << 20
 
 // Pool is the engine. Create with NewPool; all methods are safe for
 // concurrent use.
@@ -91,7 +80,7 @@ type Pool struct {
 	cfg    Config
 	jobs   chan *task
 	progs  *rcache.Cache // shared compiled-program cache; nil when disabled
-	images *rcache.Cache // shared warm-start image cache; nil when disabled
+	images *rcache.Cache // shared warm-start image cache
 
 	// baseCtx is cancelled by Shutdown, aborting running jobs and
 	// unblocking full-queue submitters.
@@ -110,7 +99,6 @@ type Pool struct {
 	submitted atomic.Uint64
 	completed atomic.Uint64
 	failed    atomic.Uint64
-	retries   atomic.Uint64
 	panics    atomic.Uint64
 	rejected  atomic.Uint64
 }
@@ -133,15 +121,9 @@ func NewPool(cfg Config) *Pool {
 	if cfg.ProgramCacheBytes == 0 {
 		cfg.ProgramCacheBytes = 64 << 20
 	}
-	if cfg.ImageCacheBytes == 0 {
-		cfg.ImageCacheBytes = 256 << 20
-	}
-	p := &Pool{cfg: cfg, jobs: make(chan *task, cfg.Queue)}
+	p := &Pool{cfg: cfg, jobs: make(chan *task, cfg.Queue), images: rcache.New(imageCacheBytes)}
 	if cfg.ProgramCacheBytes > 0 {
 		p.progs = rcache.New(cfg.ProgramCacheBytes)
-	}
-	if cfg.ImageCacheBytes > 0 {
-		p.images = rcache.New(cfg.ImageCacheBytes)
 	}
 	p.baseCtx, p.abort = context.WithCancel(context.Background())
 	p.workerWG.Add(cfg.Workers)
@@ -160,14 +142,8 @@ func (p *Pool) ProgramCacheStats() obs.CacheStats {
 	return p.progs.Stats()
 }
 
-// ImageCacheStats snapshots the warm-start image cache; zero when the
-// cache is disabled.
-func (p *Pool) ImageCacheStats() obs.CacheStats {
-	if p.images == nil {
-		return obs.CacheStats{}
-	}
-	return p.images.Stats()
-}
+// ImageCacheStats snapshots the warm-start image cache.
+func (p *Pool) ImageCacheStats() obs.CacheStats { return p.images.Stats() }
 
 // ImageSims returns a Sims wired to the pool's shared compiled-program
 // and warm-start image caches but owning no per-worker machines. It
@@ -193,7 +169,6 @@ func (p *Pool) Stats() obs.PoolStats {
 		Submitted: p.submitted.Load(),
 		Completed: p.completed.Load(),
 		Failed:    p.failed.Load(),
-		Retries:   p.retries.Load(),
 		Panics:    p.panics.Load(),
 		Rejected:  p.rejected.Load(),
 	}
@@ -334,7 +309,7 @@ func (p *Pool) worker() {
 	}
 }
 
-// runTask drives one task to completion, retrying transient failures.
+// runTask drives one task to completion.
 func (p *Pool) runTask(sims *Sims, t *task) {
 	p.queued.Add(-1)
 	p.running.Add(1)
@@ -343,7 +318,7 @@ func (p *Pool) runTask(sims *Sims, t *task) {
 	defer close(t.done)
 
 	// The job context merges the submitter's context, the pool's
-	// lifetime, and the job's wall-clock budget (all attempts share it).
+	// lifetime, and the job's wall-clock budget.
 	jctx, cancel := context.WithCancel(t.ctx)
 	defer cancel()
 	stop := context.AfterFunc(p.baseCtx, cancel)
@@ -353,26 +328,14 @@ func (p *Pool) runTask(sims *Sims, t *task) {
 	if p.baseCtx.Err() != nil {
 		cancel()
 	}
-	timeout := t.job.Timeout
-	if timeout == 0 {
-		timeout = p.cfg.DefaultTimeout
-	}
-	if timeout > 0 {
+	if t.job.Timeout > 0 {
 		var tcancel context.CancelFunc
-		jctx, tcancel = context.WithTimeout(jctx, timeout)
+		jctx, tcancel = context.WithTimeout(jctx, t.job.Timeout)
 		defer tcancel()
 	}
 
 	res := Result{Key: t.job.Key}
-	for {
-		res.Attempts++
-		res.Value, res.Err = p.runOnce(jctx, sims, t.job)
-		if res.Err == nil || res.Attempts > p.cfg.Retries ||
-			!IsTransient(res.Err) || jctx.Err() != nil {
-			break
-		}
-		p.retries.Add(1)
-	}
+	res.Value, res.Err = p.runOnce(jctx, sims, t.job)
 	if res.Err != nil {
 		p.failed.Add(1)
 	} else {
@@ -404,28 +367,4 @@ type PanicError struct {
 
 func (e *PanicError) Error() string {
 	return fmt.Sprintf("exec: job panicked: %v", e.Value)
-}
-
-// Transient marks err as retryable: the pool re-runs the job up to
-// Config.Retries times. Use it for setup failures that may succeed on a
-// second try; deterministic failures (compile errors, guest faults,
-// fuel exhaustion) must not be wrapped.
-func Transient(err error) error {
-	if err == nil {
-		return nil
-	}
-	return &transientError{err}
-}
-
-type transientError struct{ err error }
-
-func (e *transientError) Error() string   { return e.err.Error() }
-func (e *transientError) Unwrap() error   { return e.err }
-func (e *transientError) Transient() bool { return true }
-
-// IsTransient reports whether err is marked retryable anywhere in its
-// chain.
-func IsTransient(err error) bool {
-	var t interface{ Transient() bool }
-	return errors.As(err, &t) && t.Transient()
 }

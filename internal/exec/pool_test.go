@@ -230,49 +230,6 @@ func TestPanicIsolation(t *testing.T) {
 	}
 }
 
-// TestTransientRetry: a job that fails transiently twice succeeds on
-// the third attempt, and Attempts records the history. A persistent
-// transient failure stops after Retries re-runs; a non-transient
-// failure is never retried.
-func TestTransientRetry(t *testing.T) {
-	p := NewPool(Config{Workers: 1, Retries: 2})
-	defer p.Close()
-
-	var calls atomic.Int64
-	tk, _ := p.Submit(context.Background(), Job{Key: "flaky", Fn: func(ctx context.Context, _ *Sims) (any, error) {
-		if calls.Add(1) < 3 {
-			return nil, Transient(errors.New("warming up"))
-		}
-		return "done", nil
-	}})
-	res, _ := tk.Result(context.Background())
-	if res.Err != nil || res.Attempts != 3 {
-		t.Errorf("flaky job: err=%v attempts=%d, want nil/3", res.Err, res.Attempts)
-	}
-
-	tk, _ = p.Submit(context.Background(), Job{Key: "hopeless", Fn: func(ctx context.Context, _ *Sims) (any, error) {
-		return nil, Transient(errors.New("never works"))
-	}})
-	res, _ = tk.Result(context.Background())
-	if res.Err == nil || res.Attempts != 3 {
-		t.Errorf("hopeless job: err=%v attempts=%d, want error after 3 attempts", res.Err, res.Attempts)
-	}
-	if !IsTransient(res.Err) {
-		t.Errorf("hopeless job error lost its transient mark: %v", res.Err)
-	}
-
-	tk, _ = p.Submit(context.Background(), Job{Key: "fatal", Fn: func(ctx context.Context, _ *Sims) (any, error) {
-		return nil, errors.New("deterministic failure")
-	}})
-	res, _ = tk.Result(context.Background())
-	if res.Err == nil || res.Attempts != 1 {
-		t.Errorf("fatal job: err=%v attempts=%d, want error on first attempt", res.Err, res.Attempts)
-	}
-	if st := p.Stats(); st.Retries != 4 {
-		t.Errorf("retries = %d, want 4 (2 flaky + 2 hopeless)", st.Retries)
-	}
-}
-
 // TestJobTimeout bounds a job that never returns on its own.
 func TestJobTimeout(t *testing.T) {
 	p := NewPool(Config{Workers: 1})
@@ -288,39 +245,5 @@ func TestJobTimeout(t *testing.T) {
 	res, _ := tk.Result(context.Background())
 	if !errors.Is(res.Err, context.DeadlineExceeded) {
 		t.Errorf("slow job error = %v, want context.DeadlineExceeded", res.Err)
-	}
-}
-
-// TestDefaultTimeout applies the pool-wide bound when the job sets none.
-func TestDefaultTimeout(t *testing.T) {
-	p := NewPool(Config{Workers: 1, DefaultTimeout: 10 * time.Millisecond})
-	defer p.Close()
-	tk, _ := p.Submit(context.Background(), Job{Key: "slow", Fn: func(ctx context.Context, _ *Sims) (any, error) {
-		<-ctx.Done()
-		return nil, ctx.Err()
-	}})
-	res, _ := tk.Result(context.Background())
-	if !errors.Is(res.Err, context.DeadlineExceeded) {
-		t.Errorf("slow job error = %v, want context.DeadlineExceeded", res.Err)
-	}
-}
-
-// TestTransientHelpers pins the wrapper round trip.
-func TestTransientHelpers(t *testing.T) {
-	base := errors.New("base")
-	if !IsTransient(Transient(base)) {
-		t.Error("Transient(err) not recognized")
-	}
-	if !IsTransient(fmt.Errorf("wrapped: %w", Transient(base))) {
-		t.Error("wrapped transient not recognized")
-	}
-	if IsTransient(base) {
-		t.Error("plain error misread as transient")
-	}
-	if Transient(nil) != nil {
-		t.Error("Transient(nil) should be nil")
-	}
-	if !errors.Is(Transient(base), base) {
-		t.Error("Transient must preserve the error chain")
 	}
 }

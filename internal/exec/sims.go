@@ -132,8 +132,7 @@ func imageOptions(b *machine.Backend, o machine.Options) machine.Options {
 // for the given backend and options. Identical (backend, source,
 // options) tuples share one image pool-wide; concurrent identical
 // requests collapse to a single build. Outside a pool (nil receiver or
-// no shared cache) it builds a fresh image, which still gives forked
-// fan-out within one call.
+// no shared cache) it builds a fresh image.
 func (s *Sims) ImageFor(ctx context.Context, b *machine.Backend, source string, o machine.Options) (Image, error) {
 	io := imageOptions(b, o)
 	build := func() (Image, int64, error) {

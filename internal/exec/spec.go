@@ -2,12 +2,10 @@ package exec
 
 import (
 	"context"
-	"encoding/binary"
 	"fmt"
 	"time"
 
 	"risc1/internal/machine"
-	"risc1/internal/mem"
 	"risc1/internal/obs"
 	"risc1/internal/rcache"
 )
@@ -42,9 +40,8 @@ type Spec struct {
 	ResultSym string
 	// ColdStart bypasses the warm-start image cache and re-runs the full
 	// prelude (Reset + program load) for this run. Results are
-	// byte-identical either way — the forked-vs-cold differential tests
-	// enforce it — so this exists for those tests and for benchmarking
-	// the warm-start speedup, not for callers.
+	// byte-identical either way: this is the reference path the
+	// forked-vs-cold differential tests compare against, not for callers.
 	ColdStart bool
 }
 
@@ -90,17 +87,6 @@ func (s Spec) Options() machine.Options {
 // of re-zeroing memory and re-copying segments. Set ColdStart to force
 // the full prelude; the results are byte-identical.
 func (s Spec) Run(ctx context.Context, sims *Sims) (Outcome, error) {
-	return s.run(ctx, sims, nil)
-}
-
-// input is an optional fan-out input poked into a named global after the
-// prelude and before execution (see RunFanout).
-type input struct {
-	sym string
-	val int32
-}
-
-func (s Spec) run(ctx context.Context, sims *Sims, in *input) (Outcome, error) {
 	sym := s.ResultSym
 	if sym == "" {
 		sym = "result"
@@ -132,9 +118,6 @@ func (s Spec) run(ctx context.Context, sims *Sims, in *input) (Outcome, error) {
 		prog, passes = img.Prog, img.Passes
 		m.Restore(img.Snap)
 	}
-	if err := pokeInput(m.Mem(), prog, in); err != nil {
-		return Outcome{}, err
-	}
 	if err := m.RunContext(ctx); err != nil {
 		return Outcome{}, err
 	}
@@ -152,26 +135,6 @@ func (s Spec) run(ctx context.Context, sims *Sims, in *input) (Outcome, error) {
 	rep.Config.OptLevel = o.Opt
 	rep.Config.Passes = passes
 	return Outcome{Value: int32(v), Report: rep}, nil
-}
-
-// pokeInput writes a fan-out input into its global before the run. It
-// uses WriteBytes so the poke does not count as guest memory traffic —
-// the input is initial state, not a simulated store — and the OnStore
-// hook it fires keeps the predecoded icache coherent even if a program
-// places the global inside a code page.
-func pokeInput(m *mem.Memory, prog interface {
-	Symbol(string) (uint32, bool)
-}, in *input) error {
-	if in == nil {
-		return nil
-	}
-	addr, ok := prog.Symbol(in.sym)
-	if !ok {
-		return fmt.Errorf("exec: no input global named %q", in.sym)
-	}
-	var b [4]byte
-	binary.BigEndian.PutUint32(b[:], uint32(in.val))
-	return m.WriteBytes(addr, b[:])
 }
 
 // CacheKey is the spec's content address for level-2 result caching:

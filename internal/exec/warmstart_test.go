@@ -37,15 +37,18 @@ int main() {
 }
 `
 
-// fanoutSrc reads the fan-out input global.
-const fanoutSrc = `
-int input;
+// preludeHeavySrc has data pages far apart: an 896 KiB zero-initialized
+// global array whose segment the cold path copies in on every run, with
+// a tiny run that touches both ends of it, so a restore that lost or
+// shared the wrong data page would change the result.
+const preludeHeavySrc = `
 int result;
-
-int fib(int n) { if (n < 2) return n; return fib(n-1) + fib(n-2); }
+int big[229376];
 
 int main() {
-	result = fib(input) + input * 100;
+	big[0] = 40;
+	big[229375] = 2;
+	result = big[0] + big[229375];
 	return 0;
 }
 `
@@ -61,47 +64,55 @@ func TestForkedVsColdDifferential(t *testing.T) {
 	p := NewPool(Config{Workers: 8})
 	defer p.Close()
 
-	for _, mach := range []string{"risc1", "cisc", "rv32"} {
-		for _, opt := range []int{0, 1} {
-			spec := Spec{
-				Name:       "warm",
-				Machine:    mach,
-				Source:     warmSrc,
-				Opt:        opt,
-				DelaySlots: mach == "risc1",
-				Fuel:       1 << 24,
-			}
-			runOnce := func(cold bool) (Outcome, []byte) {
-				s := spec
-				s.ColdStart = cold
-				tk, err := p.Submit(context.Background(), s.Job("warm", time.Minute))
-				if err != nil {
-					t.Fatal(err)
+	for _, src := range []struct {
+		name, source string
+		want         int32
+	}{
+		{"warm", warmSrc, -1736750417},
+		{"prelude-heavy", preludeHeavySrc, 42},
+	} {
+		for _, mach := range []string{"risc1", "cisc", "rv32"} {
+			for _, opt := range []int{0, 1} {
+				spec := Spec{
+					Name:       src.name,
+					Machine:    mach,
+					Source:     src.source,
+					Opt:        opt,
+					DelaySlots: mach == "risc1",
+					Fuel:       1 << 24,
 				}
-				res, err := tk.Result(context.Background())
-				if err != nil || res.Err != nil {
-					t.Fatalf("%s/O%d cold=%v: %v / %v", mach, opt, cold, err, res.Err)
+				runOnce := func(cold bool) (Outcome, []byte) {
+					s := spec
+					s.ColdStart = cold
+					tk, err := p.Submit(context.Background(), s.Job(src.name, time.Minute))
+					if err != nil {
+						t.Fatal(err)
+					}
+					res, err := tk.Result(context.Background())
+					if err != nil || res.Err != nil {
+						t.Fatalf("%s %s/O%d cold=%v: %v / %v", src.name, mach, opt, cold, err, res.Err)
+					}
+					out := res.Value.(Outcome)
+					b, err := out.Report.JSON()
+					if err != nil {
+						t.Fatal(err)
+					}
+					return out, b
 				}
-				out := res.Value.(Outcome)
-				b, err := out.Report.JSON()
-				if err != nil {
-					t.Fatal(err)
-				}
-				return out, b
-			}
 
-			warm1, warmJSON1 := runOnce(false)
-			warm2, warmJSON2 := runOnce(false)
-			cold, coldJSON := runOnce(true)
+				warm1, warmJSON1 := runOnce(false)
+				warm2, warmJSON2 := runOnce(false)
+				cold, coldJSON := runOnce(true)
 
-			if warm1.Value != cold.Value || warm2.Value != cold.Value {
-				t.Errorf("%s/O%d: warm values %d,%d != cold %d", mach, opt, warm1.Value, warm2.Value, cold.Value)
-			}
-			if !bytes.Equal(warmJSON1, coldJSON) {
-				t.Errorf("%s/O%d: first warm report diverged from cold:\n%s\n---\n%s", mach, opt, warmJSON1, coldJSON)
-			}
-			if !bytes.Equal(warmJSON2, coldJSON) {
-				t.Errorf("%s/O%d: repeated warm report diverged from cold:\n%s\n---\n%s", mach, opt, warmJSON2, coldJSON)
+				if warm1.Value != src.want || warm2.Value != src.want || cold.Value != src.want {
+					t.Errorf("%s %s/O%d: warm values %d,%d, cold %d, want %d", src.name, mach, opt, warm1.Value, warm2.Value, cold.Value, src.want)
+				}
+				if !bytes.Equal(warmJSON1, coldJSON) {
+					t.Errorf("%s %s/O%d: first warm report diverged from cold:\n%s\n---\n%s", src.name, mach, opt, warmJSON1, coldJSON)
+				}
+				if !bytes.Equal(warmJSON2, coldJSON) {
+					t.Errorf("%s %s/O%d: repeated warm report diverged from cold:\n%s\n---\n%s", src.name, mach, opt, warmJSON2, coldJSON)
+				}
 			}
 		}
 	}
@@ -144,76 +155,5 @@ func TestForkedVsColdConcurrent(t *testing.T) {
 		} else if !bytes.Equal(b, want) {
 			t.Fatalf("job %d report diverged from job 0:\n%s\n---\n%s", i, b, want)
 		}
-	}
-}
-
-// TestRunFanout checks the single-fork-point fan-out: one program, many
-// inputs, each run restored from one shared image — and every member
-// must be byte-identical to a cold run given the same input.
-func TestRunFanout(t *testing.T) {
-	p := NewPool(Config{Workers: 8})
-	defer p.Close()
-
-	inputs := make([]int32, 12)
-	for i := range inputs {
-		inputs[i] = int32(i)
-	}
-	fs := FanoutSpec{
-		Spec: Spec{
-			Name:       "fan",
-			Source:     fanoutSrc,
-			Opt:        1,
-			DelaySlots: true,
-			Fuel:       1 << 24,
-		},
-		Inputs: inputs,
-	}
-	forked := p.RunFanout(context.Background(), fs, time.Minute)
-	cold := fs
-	cold.Spec.ColdStart = true
-	coldRes := p.RunFanout(context.Background(), cold, time.Minute)
-
-	fib := func(n int32) int32 {
-		a, b := int32(0), int32(1)
-		for i := int32(0); i < n; i++ {
-			a, b = b, a+b
-		}
-		return a
-	}
-	for i, res := range forked {
-		if res.Err != nil {
-			t.Fatalf("input %d: %v", i, res.Err)
-		}
-		out := res.Value.(Outcome)
-		if want := fib(inputs[i]) + inputs[i]*100; out.Value != want {
-			t.Errorf("input %d: value %d, want %d", i, out.Value, want)
-		}
-		if coldRes[i].Err != nil {
-			t.Fatalf("cold input %d: %v", i, coldRes[i].Err)
-		}
-		fj, err := out.Report.JSON()
-		if err != nil {
-			t.Fatal(err)
-		}
-		coldOut := coldRes[i].Value.(Outcome)
-		cj, err := coldOut.Report.JSON()
-		if err != nil {
-			t.Fatal(err)
-		}
-		if !bytes.Equal(fj, cj) {
-			t.Errorf("input %d: forked report diverged from cold:\n%s\n---\n%s", i, fj, cj)
-		}
-	}
-	// The whole forked fan-out shares one image: one build, N-1 re-entries.
-	if s := p.ImageCacheStats(); s.Misses != 1 {
-		t.Errorf("image cache after fan-out: %+v, want exactly 1 miss (one shared image)", s)
-	}
-
-	// An input global the program does not declare is an error, not a
-	// silent no-op.
-	bad := FanoutSpec{Spec: fs.Spec, InputSym: "nosuch", Inputs: []int32{1}}
-	res := p.RunFanout(context.Background(), bad, time.Minute)
-	if len(res) != 1 || res[0].Err == nil {
-		t.Errorf("fan-out with undefined input global: %+v, want error", res)
 	}
 }

@@ -21,7 +21,6 @@ type PoolStats struct {
 	Submitted uint64 `json:"submitted"`
 	Completed uint64 `json:"completed"` // finished successfully
 	Failed    uint64 `json:"failed"`    // finished with an error
-	Retries   uint64 `json:"retries"`   // re-runs after a transient failure
 	Panics    uint64 `json:"panics"`    // jobs that panicked (isolated, counted as failures)
 	Rejected  uint64 `json:"rejected"`  // refused at submission (pool closed)
 }
@@ -40,7 +39,6 @@ func (s PoolStats) Prometheus() string {
 	row("jobs_submitted_total", "counter", s.Submitted)
 	row("jobs_completed_total", "counter", s.Completed)
 	row("jobs_failed_total", "counter", s.Failed)
-	row("job_retries_total", "counter", s.Retries)
 	row("job_panics_total", "counter", s.Panics)
 	row("jobs_rejected_total", "counter", s.Rejected)
 	return b.String()
@@ -48,8 +46,10 @@ func (s PoolStats) Prometheus() string {
 
 // ExecStat is the per-job execution record a batch engine folds into the
 // run reports it returns: how the job was bounded and how many attempts
-// it took. Deterministic for a given job (wall-clock times deliberately
-// excluded), so reports stay byte-identical across pool sizes.
+// it took. The pool runs every job once, so Attempts is always 1; the
+// field stays for the report schema. Deterministic for a given job
+// (wall-clock times deliberately excluded), so reports stay
+// byte-identical across pool sizes.
 type ExecStat struct {
 	Attempts  int    `json:"attempts"`
 	FuelLimit uint64 `json:"fuelLimit,omitempty"`

@@ -4,7 +4,6 @@ import (
 	"crypto/sha256"
 	"encoding/binary"
 	"encoding/hex"
-	"hash"
 )
 
 // A Key names one cache entry: the hex SHA-256 of a canonical
@@ -14,29 +13,32 @@ import (
 // identity-addressed.
 type Key = string
 
-// KeyBuilder accumulates (name, value) fields into a canonical hash.
-// Fields are length-prefixed and tagged with their type, so no two
-// distinct field sequences serialize to the same byte stream (a source
-// containing "opt=1" can never alias an actual opt field).
+// KeyBuilder accumulates (name, value) fields into a canonical byte
+// stream and hashes it once in Sum. Fields are length-prefixed and
+// tagged with their type, so no two distinct field sequences serialize
+// to the same byte stream (a source containing "opt=1" can never alias
+// an actual opt field).
 type KeyBuilder struct {
-	h hash.Hash
+	buf []byte
 }
 
 // NewKey starts a builder. The domain string separates key spaces:
 // compiled-program keys and run-report keys for the same source must
 // never collide.
 func NewKey(domain string) *KeyBuilder {
-	b := &KeyBuilder{h: sha256.New()}
+	b := &KeyBuilder{buf: make([]byte, 0, 256)}
 	b.raw('D', domain)
 	return b
 }
 
 func (b *KeyBuilder) raw(tag byte, s string) {
-	var hdr [9]byte
-	hdr[0] = tag
-	binary.BigEndian.PutUint64(hdr[1:], uint64(len(s)))
-	b.h.Write(hdr[:])
-	b.h.Write([]byte(s))
+	b.word(tag, uint64(len(s)))
+	b.buf = append(b.buf, s...)
+}
+
+// word appends a tag byte and a big-endian 64-bit value.
+func (b *KeyBuilder) word(tag byte, v uint64) {
+	b.buf = binary.BigEndian.AppendUint64(append(b.buf, tag), v)
 }
 
 // Str adds a string field.
@@ -49,38 +51,32 @@ func (b *KeyBuilder) Str(name, v string) *KeyBuilder {
 // Int adds a signed integer field.
 func (b *KeyBuilder) Int(name string, v int64) *KeyBuilder {
 	b.raw('N', name)
-	var buf [9]byte
-	buf[0] = 'I'
-	binary.BigEndian.PutUint64(buf[1:], uint64(v))
-	b.h.Write(buf[:])
+	b.word('I', uint64(v))
 	return b
 }
 
 // Uint adds an unsigned integer field.
 func (b *KeyBuilder) Uint(name string, v uint64) *KeyBuilder {
 	b.raw('N', name)
-	var buf [9]byte
-	buf[0] = 'U'
-	binary.BigEndian.PutUint64(buf[1:], v)
-	b.h.Write(buf[:])
+	b.word('U', v)
 	return b
 }
 
 // Bool adds a boolean field.
 func (b *KeyBuilder) Bool(name string, v bool) *KeyBuilder {
-	var x int64
+	var x uint64
 	if v {
 		x = 1
 	}
 	b.raw('N', name)
-	var buf [9]byte
-	buf[0] = 'B'
-	binary.BigEndian.PutUint64(buf[1:], uint64(x))
-	b.h.Write(buf[:])
+	b.word('B', x)
 	return b
 }
 
 // Sum finishes the key. The builder must not be reused afterwards.
 func (b *KeyBuilder) Sum() Key {
-	return hex.EncodeToString(b.h.Sum(nil))
+	sum := sha256.Sum256(b.buf)
+	var dst [2 * sha256.Size]byte
+	hex.Encode(dst[:], sum[:])
+	return string(dst[:])
 }

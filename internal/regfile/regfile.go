@@ -64,7 +64,8 @@ func (c Config) PhysicalRegs() int { return numGlobals + c.Windows*regsPerWindow
 // MaxResident returns how many activations fit on chip simultaneously.
 func (c Config) MaxResident() int { return c.Windows - 1 }
 
-func (c Config) validate() error {
+// Validate reports why New would refuse the configuration, or nil.
+func (c Config) Validate() error {
 	if c.Windows < 2 {
 		return fmt.Errorf("regfile: need at least 2 windows, got %d", c.Windows)
 	}
@@ -110,7 +111,7 @@ type Stats struct {
 // New creates a register file. It panics on an invalid configuration,
 // which is a programming error, not runtime input.
 func New(cfg Config) *File {
-	if err := cfg.validate(); err != nil {
+	if err := cfg.Validate(); err != nil {
 		panic(err)
 	}
 	f := &File{
