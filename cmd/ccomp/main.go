@@ -34,6 +34,10 @@ func main() {
 			strings.Join(machine.Names(), "|"))
 		os.Exit(2)
 	}
+	if err := cc.CheckOpt(*opt); err != nil {
+		fmt.Fprintln(os.Stderr, "ccomp:", err)
+		os.Exit(2)
+	}
 	src, err := os.ReadFile(flag.Arg(0))
 	if err != nil {
 		fatal(err)

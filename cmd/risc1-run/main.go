@@ -57,6 +57,10 @@ func main() {
 		fmt.Fprintln(os.Stderr, "usage: risc1-run [flags] file.s|file.c")
 		os.Exit(2)
 	}
+	if err := cc.CheckOpt(*opt); err != nil {
+		fmt.Fprintln(os.Stderr, "risc1-run:", err)
+		os.Exit(2)
+	}
 	if *windows != 0 {
 		if err := (regfile.Config{Windows: *windows}).Validate(); err != nil {
 			fmt.Fprintln(os.Stderr, "risc1-run:", err)

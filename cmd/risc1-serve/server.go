@@ -11,6 +11,7 @@ import (
 	"sync"
 	"time"
 
+	"risc1/internal/cc"
 	"risc1/internal/cluster"
 	"risc1/internal/exec"
 	"risc1/internal/fuel"
@@ -531,8 +532,8 @@ func (s *Server) specFor(req runRequest) (exec.Spec, time.Duration, *runResponse
 	if req.Opt != nil {
 		opt = *req.Opt
 	}
-	if opt < 0 || opt > 1 {
-		return exec.Spec{}, 0, errResponse(codeBadRequest, "opt must be 0 or 1, got %d", opt)
+	if err := cc.CheckOpt(opt); err != nil {
+		return exec.Spec{}, 0, errResponse(codeBadRequest, "%v", err)
 	}
 	name, err := machine.Canonical(req.Machine)
 	if err != nil {

@@ -165,20 +165,26 @@ type Instr struct {
 	Line  int
 }
 
-// Operands returns pointers to every value the instruction reads, so
-// passes can rewrite uses in place.
-func (i *Instr) Operands() []*Value {
-	var out []*Value
+// OperandBuf is scratch space for Operands, declared once per pass and
+// passed as buf[:0]: it holds the operands of any instruction or
+// terminator except a call with more than eight arguments, for which
+// append moves to the heap.
+type OperandBuf [8]*Value
+
+// Operands appends pointers to every value the instruction reads to
+// buf and returns the result, so passes can rewrite uses in place.
+// With an OperandBuf as buf it allocates nothing.
+func (i *Instr) Operands(buf []*Value) []*Value {
 	if i.A.Valid() {
-		out = append(out, &i.A)
+		buf = append(buf, &i.A)
 	}
 	if i.B.Valid() {
-		out = append(out, &i.B)
+		buf = append(buf, &i.B)
 	}
 	for k := range i.Args {
-		out = append(out, &i.Args[k])
+		buf = append(buf, &i.Args[k])
 	}
-	return out
+	return buf
 }
 
 // TermKind tags a terminator.
@@ -249,18 +255,19 @@ type Term struct {
 	Line       int
 }
 
-// Operands returns pointers to every value the terminator reads.
-func (t *Term) Operands() []*Value {
-	var out []*Value
+// Operands appends pointers to every value the terminator reads to buf
+// and returns the result; with an OperandBuf as buf it allocates
+// nothing.
+func (t *Term) Operands(buf []*Value) []*Value {
 	switch t.Kind {
 	case TermBranch:
-		out = append(out, &t.A, &t.B)
+		buf = append(buf, &t.A, &t.B)
 	case TermReturn:
 		if t.Ret.Valid() {
-			out = append(out, &t.Ret)
+			buf = append(buf, &t.Ret)
 		}
 	}
-	return out
+	return buf
 }
 
 // Succs returns the terminator's successor blocks.

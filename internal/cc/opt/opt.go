@@ -92,15 +92,16 @@ func defCounts(f *ir.Func) []int {
 // across instructions and terminators.
 func useCounts(f *ir.Func) []int {
 	uses := make([]int, f.NTemps)
+	var buf ir.OperandBuf
 	for _, b := range f.Blocks {
 		for k := range b.Instrs {
-			for _, op := range b.Instrs[k].Operands() {
+			for _, op := range b.Instrs[k].Operands(buf[:0]) {
 				if op.Kind == ir.ValTemp {
 					uses[op.Temp]++
 				}
 			}
 		}
-		for _, op := range b.Term.Operands() {
+		for _, op := range b.Term.Operands(buf[:0]) {
 			if op.Kind == ir.ValTemp {
 				uses[op.Temp]++
 			}

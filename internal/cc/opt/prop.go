@@ -63,6 +63,7 @@ func propagate(f *ir.Func) int {
 		n++
 	}
 
+	var buf ir.OperandBuf
 	for _, b := range f.Blocks {
 		// Forward variable reads within the block: after `t = v`, uses
 		// of t can read v directly until v is rewritten, t is redefined,
@@ -103,7 +104,7 @@ func propagate(f *ir.Func) int {
 		}
 		for k := range b.Instrs {
 			in := &b.Instrs[k]
-			for _, op := range in.Operands() {
+			for _, op := range in.Operands(buf[:0]) {
 				apply(in, op)
 				forward(in, op)
 			}
@@ -129,7 +130,7 @@ func propagate(f *ir.Func) int {
 				}
 			}
 		}
-		for _, op := range b.Term.Operands() {
+		for _, op := range b.Term.Operands(buf[:0]) {
 			apply(nil, op)
 			forward(nil, op)
 		}

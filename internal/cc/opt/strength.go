@@ -20,21 +20,33 @@ import "risc1/internal/cc/ir"
 //
 // Everything uses arithmetic shifts and masks the IR already has, so
 // no new ops are needed.
+//
+// A block is rebuilt only when one of its instructions is reduced: the
+// new slice starts as a copy of the instructions before the first
+// reduction, and blocks with nothing to reduce keep their slice, so a
+// fixpoint round that finds nothing allocates nothing.
 func strength(f *ir.Func) int {
 	n := 0
 	for _, b := range f.Blocks {
-		var out []ir.Instr
+		var out []ir.Instr // nil until the first reduction in b
 		for k := range b.Instrs {
-			in := b.Instrs[k]
-			repl, ok := reduce(f, &in)
+			repl, ok := reduce(f, &b.Instrs[k])
 			if !ok {
-				out = append(out, in)
+				if out != nil {
+					out = append(out, b.Instrs[k])
+				}
 				continue
+			}
+			if out == nil {
+				out = make([]ir.Instr, k, len(b.Instrs)+len(repl)-1)
+				copy(out, b.Instrs[:k])
 			}
 			out = append(out, repl...)
 			n++
 		}
-		b.Instrs = out
+		if out != nil {
+			b.Instrs = out
+		}
 	}
 	return n
 }

@@ -177,9 +177,6 @@ func (p *Pool) Stats() obs.PoolStats {
 // Ticket is a handle on a submitted job.
 type Ticket struct{ t *task }
 
-// Done is closed when the job finishes (any outcome).
-func (tk *Ticket) Done() <-chan struct{} { return tk.t.done }
-
 // Result blocks until the job finishes or ctx is done. The returned
 // error is only ever ctx's: job failures live in Result.Err.
 func (tk *Ticket) Result(ctx context.Context) (Result, error) {

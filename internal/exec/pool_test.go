@@ -195,10 +195,13 @@ func TestCloseDrains(t *testing.T) {
 		t.Errorf("after Close, %d jobs done, want 8", done.Load())
 	}
 	for i, tk := range tickets {
-		select {
-		case <-tk.Done():
-		default:
-			t.Errorf("ticket %d not done after Close", i)
+		ctx, cancel := context.WithTimeout(context.Background(), time.Second)
+		res, err := tk.Result(ctx)
+		cancel()
+		if err != nil {
+			t.Errorf("ticket %d not done after Close: %v", i, err)
+		} else if res.Err != nil {
+			t.Errorf("ticket %d: %v", i, res.Err)
 		}
 	}
 }

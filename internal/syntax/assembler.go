@@ -71,18 +71,28 @@ type Assembler[I any] struct {
 	d       *Dialect[I]
 	pending []string // labels awaiting the next item
 	cur     Cursor   // the line being parsed
+	toks    []Token  // the scan buffer, reused from line to line
 }
 
 // Parse runs the first pass over src: one instruction or directive per
-// line, each optionally preceded by "label:" prefixes.
+// line, each optionally preceded by "label:" prefixes. Items is sized
+// for one item per line up front.
 func (d *Dialect[I]) Parse(src string) (*Assembler[I], error) {
-	a := &Assembler[I]{d: d, syms: make(map[string]uint32)}
-	for lineNo, line := range strings.Split(src, "\n") {
-		if err := a.parseLine(line, lineNo+1); err != nil {
+	a := &Assembler[I]{
+		Items: make([]Item[I], 0, strings.Count(src, "\n")+1),
+		syms:  make(map[string]uint32),
+		d:     d,
+	}
+	for lineNo := 1; ; lineNo++ {
+		line, rest, more := strings.Cut(src, "\n")
+		if err := a.parseLine(line, lineNo); err != nil {
 			return nil, err
 		}
+		if !more {
+			return a, nil
+		}
+		src = rest
 	}
-	return a, nil
 }
 
 // Add appends an item, attaching the labels that precede it.
@@ -98,10 +108,11 @@ func (a *Assembler[I]) AddInst(line int, in I) {
 }
 
 func (a *Assembler[I]) parseLine(line string, lineNo int) error {
-	toks, err := ScanLine(line, lineNo)
+	toks, err := ScanLine(a.toks[:0], line, lineNo)
 	if err != nil {
 		return err
 	}
+	a.toks = toks
 	for len(toks) >= 2 && toks[0].Kind == Ident && toks[1].Kind == Punct && toks[1].Text == ":" {
 		a.pending = append(a.pending, toks[0].Text)
 		toks = toks[2:]
