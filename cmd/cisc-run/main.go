@@ -45,6 +45,10 @@ func main() {
 		fmt.Fprintln(os.Stderr, "usage: cisc-run [flags] file.s|file.c")
 		os.Exit(2)
 	}
+	if err := cc.CheckOpt(*opt); err != nil {
+		fmt.Fprintln(os.Stderr, "cisc-run:", err)
+		os.Exit(2)
+	}
 	src, err := os.ReadFile(flag.Arg(0))
 	if err != nil {
 		fatal(err)

@@ -37,6 +37,10 @@ func main() {
 	opt := flag.Int("opt", 1, "MiniC optimization level, also spelled -O0/-O1")
 	parallel := flag.Int("parallel", runtime.GOMAXPROCS(0), "simulator workers for the sweeps; output is byte-identical at any setting")
 	flag.CommandLine.Parse(cc.NormalizeOptFlags(os.Args[1:]))
+	if err := cc.CheckOpt(*opt); err != nil {
+		fmt.Fprintln(os.Stderr, "risc1-bench:", err)
+		os.Exit(2)
+	}
 	bench.NoICache = *noICache
 	bench.OptLevel = *opt
 	bench.Parallel = *parallel
