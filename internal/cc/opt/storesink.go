@@ -16,8 +16,18 @@ func storeSink(f *ir.Func) int {
 	defs := defCounts(f)
 	uses := useCounts(f)
 	for _, b := range f.Blocks {
-		for k := 0; k+1 < len(b.Instrs); k++ {
-			in := &b.Instrs[k]
+		// Compact in place: w counts the instructions kept, so a block
+		// with many fusions costs one pass, not one shift per fusion.
+		w := 0
+		for k := 0; k < len(b.Instrs); k++ {
+			if w != k {
+				b.Instrs[w] = b.Instrs[k]
+			}
+			in := &b.Instrs[w]
+			w++
+			if k+1 == len(b.Instrs) {
+				break
+			}
 			next := &b.Instrs[k+1]
 			if next.Op != ir.OpCopy || next.Dst.Kind != ir.ValVar || next.Dst.Var.Char {
 				continue
@@ -33,10 +43,11 @@ func storeSink(f *ir.Func) int {
 				continue
 			}
 			in.Dst = next.Dst
-			b.Instrs = append(b.Instrs[:k+1], b.Instrs[k+2:]...)
+			k++ // the copy is fused away
 			uses[t.Temp] = 0
 			n++
 		}
+		b.Instrs = b.Instrs[:w]
 	}
 	return n
 }
